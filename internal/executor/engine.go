@@ -8,7 +8,6 @@
 package executor
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 	"time"
@@ -103,12 +102,25 @@ type Engine struct {
 	mode    Mode
 	plans   PlanSource
 	benchFr float64
-	seed    int64
 	rng     *simclock.Rand
 	done    func(*platform.InvocationRecord)
 
+	// labels is the per-decision label hash after "<workflow>/"; draws
+	// is the scratch stream every decision reseeds in place (see
+	// decision in run.go).
+	labels simclock.LabelHash
+	draws  *simclock.Rand
+	// envBuf and keyBuf are scratch buffers for envelope encoding and
+	// annotation keys; the broker and the KV store copy what they keep.
+	envBuf []byte
+	keyBuf []byte
+
 	nextID uint64
 	live   map[uint64]*invocation
+	// maxExecs and maxTransfers are the largest event counts of any
+	// finished invocation; new records are sized from them so the
+	// retained records never carry append-doubling slack.
+	maxExecs, maxTransfers int
 
 	tel executorTelemetry
 }
@@ -141,9 +153,11 @@ type invocation struct {
 	maxEnd  time.Time
 	started bool
 	// stagedBytes accumulates intermediate data staged in the KV store
-	// per sync node, loaded by the sync node when it fires.
+	// per sync node, loaded by the sync node when it fires. Allocated on
+	// first use.
 	stagedBytes map[dag.NodeID]float64
-	// sfState holds Step Functions-mode in-memory join state.
+	// sfState holds Step Functions-mode in-memory join state. Allocated
+	// on first use.
 	sfState map[dag.NodeID]*sfJoin
 }
 
@@ -151,12 +165,6 @@ type sfJoin struct {
 	arrived int
 	skipped int
 	bytes   float64
-}
-
-// envelope is the message payload carried on pub/sub invocations.
-type envelope struct {
-	Inv  uint64     `json:"inv"`
-	Node dag.NodeID `json:"node"`
 }
 
 // New validates options and returns an engine. The caller must deploy
@@ -189,9 +197,10 @@ func New(opts Options) (*Engine, error) {
 		mode:    opts.Mode,
 		plans:   opts.Plans,
 		benchFr: opts.BenchFraction,
-		seed:    opts.Seed,
 		rng:     simclock.DeriveRand(opts.Seed, "executor/"+opts.Workload.Name),
 		done:    opts.OnComplete,
+		labels:  simclock.NewLabelHash(opts.Seed).Add(opts.Workload.Name).Add("/"),
+		draws:   simclock.NewRand(0),
 		live:    make(map[uint64]*invocation),
 		tel:     newExecutorTelemetry(),
 	}
@@ -259,11 +268,11 @@ func (e *Engine) onDrop(msg pubsub.Message) {
 	if !strings.HasPrefix(msg.Topic, e.wl.Name+"/") {
 		return // another workflow's message
 	}
-	var env envelope
-	if json.Unmarshal(msg.Data, &env) != nil {
+	id, _, err := decodeEnvelope(msg.Data)
+	if err != nil {
 		return
 	}
-	inv, ok := e.live[env.Inv]
+	inv, ok := e.live[id]
 	if !ok {
 		return
 	}
@@ -272,7 +281,7 @@ func (e *Engine) onDrop(msg pubsub.Message) {
 	e.tel.dropped.Inc()
 	inv.rec.Succeeded = false
 	inv.pending--
-	e.maybeFinish(env.Inv, inv)
+	e.maybeFinish(id, inv)
 }
 
 func (e *Engine) maybeFinish(id uint64, inv *invocation) {
@@ -280,6 +289,8 @@ func (e *Engine) maybeFinish(id uint64, inv *invocation) {
 		return
 	}
 	inv.rec.End = inv.maxEnd
+	e.maxExecs = max(e.maxExecs, len(inv.rec.Executions))
+	e.maxTransfers = max(e.maxTransfers, len(inv.rec.Transfers))
 	delete(e.live, id)
 	e.tel.completed.Inc()
 	if !inv.rec.Succeeded {

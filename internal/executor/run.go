@@ -1,7 +1,6 @@
 package executor
 
 import (
-	"encoding/json"
 	"fmt"
 	"time"
 
@@ -20,10 +19,14 @@ func (e *Engine) Invoke(class workloads.InputClass) (uint64, error) {
 	e.nextID++
 	id := e.nextID
 	inv := &invocation{
-		rec:         platform.NewInvocationRecord(e.wl.Name, id, string(class)),
-		class:       class,
-		stagedBytes: make(map[dag.NodeID]float64),
-		sfState:     make(map[dag.NodeID]*sfJoin),
+		rec:   platform.NewInvocationRecord(e.wl.Name, id, string(class)),
+		class: class,
+	}
+	if e.maxExecs > 0 {
+		inv.rec.Executions = make([]platform.ExecutionEvent, 0, e.maxExecs)
+	}
+	if e.maxTransfers > 0 {
+		inv.rec.Transfers = make([]platform.TransferEvent, 0, e.maxTransfers)
 	}
 	inv.rec.Succeeded = true
 	e.live[id] = inv
@@ -72,12 +75,8 @@ func (e *Engine) InvokeAt(t time.Time, class workloads.InputClass, onErr func(er
 }
 
 func (e *Engine) publish(inv uint64, node dag.NodeID, r region.ID, latency time.Duration) error {
-	data, err := json.Marshal(envelope{Inv: inv, Node: node})
-	if err != nil {
-		return fmt.Errorf("executor: marshal envelope: %w", err)
-	}
-	topic := platform.FunctionRef{Workflow: e.wl.Name, Node: node, Region: r}.Topic()
-	return e.p.Publish(topic, data, latency)
+	e.envBuf = appendEnvelope(e.envBuf[:0], inv, node)
+	return e.p.PublishTo(platform.FunctionRef{Workflow: e.wl.Name, Node: node, Region: r}, e.envBuf, latency)
 }
 
 // resolveRegion maps a stage to its execution region: the active plan's
@@ -105,11 +104,14 @@ func (e *Engine) resolveRegion(inv *invocation, node dag.NodeID) region.ID {
 // spins up (cold start), sync nodes load their staged predecessor data,
 // and the stage executes for a sampled duration.
 func (e *Engine) onArrive(ref platform.FunctionRef, msg pubsub.Message) error {
-	var env envelope
-	if err := json.Unmarshal(msg.Data, &env); err != nil {
+	id, node, err := decodeEnvelope(msg.Data)
+	if err != nil {
 		return fmt.Errorf("executor: bad envelope on %s: %w", msg.Topic, err)
 	}
-	inv, ok := e.live[env.Inv]
+	if string(node) != string(ref.Node) {
+		return fmt.Errorf("executor: envelope for stage %q delivered on %s", node, msg.Topic)
+	}
+	inv, ok := e.live[id]
 	if !ok {
 		// Duplicate delivery for a finished invocation: acknowledge.
 		return nil
@@ -120,7 +122,7 @@ func (e *Engine) onArrive(ref platform.FunctionRef, msg pubsub.Message) error {
 	}
 	// Region capacity: queueing (if any) counts toward service time.
 	e.p.AcquireExecutionSlot(ref.Region, func() {
-		e.beginExecution(ref, env.Inv, env.Node)
+		e.beginExecution(ref, id, ref.Node)
 	})
 	return nil
 }
@@ -162,9 +164,9 @@ func (e *Engine) beginExecution(ref platform.FunctionRef, id uint64, node dag.No
 	}
 
 	reg, _ := e.p.Catalogue().Get(ref.Region)
-	durSec := e.wl.SampleDuration(node, inv.class, reg.PerfFactor, e.rngFor("dur", id, string(node)))
+	durSec := e.wl.SampleDuration(node, inv.class, reg.PerfFactor, e.decision("dur", id, node))
 	prof := e.wl.Profile(node)
-	util := prof.CPUUtil * e.rngFor("util", id, string(node)).Uniform(0.92, 1.05)
+	util := prof.CPUUtil * e.decision("util", id, node).Uniform(0.92, 1.05)
 	if util > 1 {
 		util = 1
 	}
@@ -195,9 +197,10 @@ func (e *Engine) onNodeComplete(id uint64, node dag.NodeID, src region.ID) {
 	}
 
 	var offset time.Duration
-	for _, edge := range e.wl.DAG.Out(node) {
+	outs := e.wl.DAG.Out(node)
+	for _, edge := range outs {
 		taken := !edge.Conditional ||
-			e.rngFor("branch", id, string(edge.From), string(edge.To)).Bool(edge.Probability)
+			e.decision("branch", id, edge.From, edge.To).Bool(edge.Probability)
 		if taken {
 			if e.wl.DAG.IsSync(edge.To) {
 				offset = e.sendToSync(inv, id, edge, src, offset)
@@ -209,7 +212,7 @@ func (e *Engine) onNodeComplete(id uint64, node dag.NodeID, src region.ID) {
 		}
 	}
 
-	if len(e.wl.DAG.Out(node)) == 0 {
+	if len(outs) == 0 {
 		e.writeOutput(inv, node, src)
 	}
 
@@ -262,13 +265,25 @@ func (e *Engine) sendDirect(inv *invocation, id uint64, edge dag.Edge, src regio
 	return offset + publishCallLatency
 }
 
-// rngFor derives the deterministic per-invocation random stream for one
-// decision. Seeding by (invocation, purpose) gives common random numbers
+// decision returns the deterministic per-invocation random stream for one
+// decision: the stream DeriveRand(seed, "<workflow>/<kind>/<inv>/<parts…>")
+// yields. Seeding by (invocation, purpose) gives common random numbers
 // across deployment strategies, so strategy comparisons are paired.
-func (e *Engine) rngFor(kind string, inv uint64, parts ...string) *simclock.Rand {
-	label := fmt.Sprintf("%s/%s/%d", e.wl.Name, kind, inv)
+//
+// The stream is the engine's scratch Rand reseeded in place, valid only
+// until the next decision call; every caller consumes its draws at once
+// (the engine runs on its scheduler's single goroutine).
+func (e *Engine) decision(kind string, inv uint64, parts ...dag.NodeID) *simclock.Rand {
+	e.draws.Seed(e.decisionSeed(kind, inv, parts...))
+	return e.draws
+}
+
+// decisionSeed hashes the decision label part by part (see
+// simclock.LabelHash), so no label string is built.
+func (e *Engine) decisionSeed(kind string, inv uint64, parts ...dag.NodeID) int64 {
+	h := e.labels.Add(kind).Add("/").AddUint(inv)
 	for _, p := range parts {
-		label += "/" + p
+		h = h.Add("/").Add(string(p))
 	}
-	return simclock.DeriveRand(e.seed, label)
+	return h.Seed()
 }

@@ -38,9 +38,9 @@ func (e *Engine) sfRun(id uint64, node dag.NodeID) {
 	ref := platform.FunctionRef{Workflow: e.wl.Name, Node: node, Region: e.home}
 	delay := e.p.ColdStartPenalty(ref, e.wl.ImageBytes)
 	reg, _ := e.p.Catalogue().Get(e.home)
-	durSec := e.wl.SampleDuration(node, inv.class, reg.PerfFactor, e.rngFor("dur", id, string(node)))
+	durSec := e.wl.SampleDuration(node, inv.class, reg.PerfFactor, e.decision("dur", id, node))
 	prof := e.wl.Profile(node)
-	util := prof.CPUUtil * e.rngFor("util", id, string(node)).Uniform(0.92, 1.05)
+	util := prof.CPUUtil * e.decision("util", id, node).Uniform(0.92, 1.05)
 	if util > 1 {
 		util = 1
 	}
@@ -63,16 +63,17 @@ func (e *Engine) sfComplete(id uint64, node dag.NodeID) {
 	if now.After(inv.maxEnd) {
 		inv.maxEnd = now
 	}
-	for _, edge := range e.wl.DAG.Out(node) {
+	outs := e.wl.DAG.Out(node)
+	for _, edge := range outs {
 		taken := !edge.Conditional ||
-			e.rngFor("branch", id, string(edge.From), string(edge.To)).Bool(edge.Probability)
+			e.decision("branch", id, edge.From, edge.To).Bool(edge.Probability)
 		if taken {
 			e.sfFollow(inv, id, edge)
 		} else {
 			e.sfSkip(inv, id, edge)
 		}
 	}
-	if len(e.wl.DAG.Out(node)) == 0 {
+	if len(outs) == 0 {
 		e.writeOutput(inv, node, e.home)
 	}
 	inv.pending--
@@ -115,6 +116,9 @@ func (e *Engine) sfSkip(inv *invocation, id uint64, edge dag.Edge) {
 func (e *Engine) sfJoinArrive(inv *invocation, id uint64, node dag.NodeID, reached bool) {
 	st := inv.sfState[node]
 	if st == nil {
+		if inv.sfState == nil {
+			inv.sfState = make(map[dag.NodeID]*sfJoin)
+		}
 		st = &sfJoin{}
 		inv.sfState[node] = st
 	}

@@ -1,8 +1,7 @@
 package executor
 
 import (
-	"encoding/json"
-	"fmt"
+	"strconv"
 	"time"
 
 	"caribou/internal/dag"
@@ -18,45 +17,69 @@ import (
 // set invokes (or skips) the synchronization node.
 
 // annotationKey names the KV entry holding a sync node's edge annotations
-// for one invocation.
+// for one invocation: "sync/<workflow>/<inv>/<node>".
 func (e *Engine) annotationKey(inv uint64, node dag.NodeID) string {
-	return fmt.Sprintf("sync/%s/%d/%s", e.wl.Name, inv, node)
+	b := append(e.keyBuf[:0], "sync/"...)
+	b = append(b, e.wl.Name...)
+	b = append(b, '/')
+	b = strconv.AppendUint(b, inv, 10)
+	b = append(b, '/')
+	b = append(b, node...)
+	e.keyBuf = b
+	return string(b)
 }
+
+// Edge annotation states, one byte per incoming edge of a sync node in
+// DAG.In order.
+const (
+	edgeUnannotated byte = iota
+	edgeReached
+	edgeSkipped
+)
 
 // annotate atomically records the state of one incoming edge of a sync
 // node and reports whether this update completed the annotation set
 // (fire) and whether any edge was reached. fire is true for exactly one
 // annotate call per (invocation, node): the one that transitions the set
-// to complete.
+// to complete. An edge keeps the state it was first annotated with.
 func (e *Engine) annotate(inv uint64, edge dag.Edge, reached bool) (fire, anyReached bool) {
-	key := e.annotationKey(inv, edge.To)
-	want := len(e.wl.DAG.In(edge.To))
-	edgeName := string(edge.From) + "->" + string(edge.To)
-	e.p.KV().Update(key, func(cur []byte, exists bool) ([]byte, bool) {
-		ann := map[string]bool{}
-		if exists {
-			if err := json.Unmarshal(cur, &ann); err != nil {
-				ann = map[string]bool{}
-			}
+	in := e.wl.DAG.In(edge.To)
+	slot := 0
+	for i, pe := range in {
+		if pe.From == edge.From {
+			slot = i
 		}
-		before := len(ann)
-		if _, dup := ann[edgeName]; !dup {
-			ann[edgeName] = reached
+	}
+	state := edgeSkipped
+	if reached {
+		state = edgeReached
+	}
+	e.p.KV().Update(e.annotationKey(inv, edge.To), func(cur []byte, exists bool) ([]byte, bool) {
+		if !exists || len(cur) != len(in) {
+			cur = make([]byte, len(in))
 		}
-		fire = before < want && len(ann) == want
-		anyReached = false
-		for _, r := range ann {
-			if r {
-				anyReached = true
-			}
+		before := annotated(cur)
+		if cur[slot] == edgeUnannotated {
+			cur[slot] = state
 		}
-		next, err := json.Marshal(ann)
-		if err != nil {
-			return nil, false
+		fire = before < len(in) && annotated(cur) == len(in)
+		for _, s := range cur {
+			anyReached = anyReached || s == edgeReached
 		}
-		return next, true
+		return cur, true
 	})
 	return fire, anyReached
+}
+
+// annotated counts the annotated edges in a sync node's state vector.
+func annotated(states []byte) int {
+	n := 0
+	for _, s := range states {
+		if s != edgeUnannotated {
+			n++
+		}
+	}
+	return n
 }
 
 // sendToSync stages the edge's intermediate data in the workflow KV table
@@ -78,6 +101,9 @@ func (e *Engine) sendToSync(inv *invocation, id uint64, edge dag.Edge, src regio
 			offset += store
 		}
 		offset += platform.KVAccessOverhead
+		if inv.stagedBytes == nil {
+			inv.stagedBytes = make(map[dag.NodeID]float64)
+		}
 		inv.stagedBytes[edge.To] += bytes
 	}
 

@@ -38,6 +38,17 @@ type Manager struct {
 	book *pricing.Book
 
 	records []*platform.InvocationRecord // window, oldest first
+	// oldest is a lower bound on the earliest End in the window; forget
+	// scans for aged-out records only when it could find one.
+	oldest time.Time
+	// coverage counts, per node-region pair, the executions in the
+	// window's records that carry it; forget keeps it in step with
+	// records on every add and drop.
+	coverage map[execKey]int
+	// edges is the DAG's edge list and executed Ingest's per-record
+	// scratch set, both reused across ingests.
+	edges    []dag.Edge
+	executed map[dag.NodeID]bool
 
 	exec      map[execKey]*stats.Distribution // duration seconds
 	util      map[dag.NodeID]*welford
@@ -75,6 +86,9 @@ func (w *welford) add(x float64) {
 func New(d *dag.DAG, home region.ID, cat *region.Catalogue, net *netmodel.Model, src carbon.Source, book *pricing.Book) *Manager {
 	return &Manager{
 		d: d, home: home, cat: cat, net: net, src: src, book: book,
+		coverage:    make(map[execKey]int),
+		edges:       d.Edges(),
+		executed:    make(map[dag.NodeID]bool),
 		exec:        make(map[execKey]*stats.Distribution),
 		util:        make(map[dag.NodeID]*welford),
 		edgeBytes:   make(map[edgeKey]*stats.Distribution),
@@ -92,9 +106,14 @@ func (m *Manager) Ingest(rec *platform.InvocationRecord) {
 	if rec == nil || rec.Workflow != m.d.Name() {
 		return
 	}
+	if len(m.records) == 0 || rec.End.Before(m.oldest) {
+		m.oldest = rec.End
+	}
 	m.records = append(m.records, rec)
+	m.cover(rec, 1)
 
-	executed := map[dag.NodeID]bool{}
+	executed := m.executed
+	clear(executed)
 	for _, e := range rec.Executions {
 		k := execKey{e.Node, e.Region}
 		dist, ok := m.exec[k]
@@ -145,7 +164,7 @@ func (m *Manager) Ingest(rec *platform.InvocationRecord) {
 	// Conditional edge frequencies: an edge counts as seen when its
 	// source node executed, taken when its target also executed (for
 	// conditional edges this captures the trigger outcome).
-	for _, e := range m.d.Edges() {
+	for _, e := range m.edges {
 		if !executed[e.From] {
 			continue
 		}
@@ -167,43 +186,62 @@ func (m *Manager) Ingest(rec *platform.InvocationRecord) {
 // drop; beyond 5,000 records the oldest drop first, except records that
 // still carry DAG information (a node-region execution pair) no newer
 // record has — those are retained, the selective forgetting of §7.2.
+//
+// The node-region coverage counts are maintained incrementally (Ingest
+// adds, every drop subtracts), so a pass never rebuilds them over the
+// window, and the age scan is skipped while no record can have aged out.
 func (m *Manager) forget(now time.Time) {
 	cutoff := now.Add(-MaxAge)
-	kept := m.records[:0]
-	for _, r := range m.records {
-		if r.End.After(cutoff) {
+	if !m.oldest.After(cutoff) {
+		kept := m.records[:0]
+		for _, r := range m.records {
+			if !r.End.After(cutoff) {
+				m.cover(r, -1)
+				continue
+			}
+			if len(kept) == 0 || r.End.Before(m.oldest) {
+				m.oldest = r.End
+			}
 			kept = append(kept, r)
 		}
-	}
-	m.records = kept
-	if len(m.records) <= MaxRecords {
-		return
-	}
-	// Count how many records carry each node-region pair.
-	coverage := map[execKey]int{}
-	for _, r := range m.records {
-		for _, e := range r.Executions {
-			coverage[execKey{e.Node, e.Region}]++
-		}
+		clear(m.records[len(kept):])
+		m.records = kept
 	}
 	excess := len(m.records) - MaxRecords
-	kept = m.records[:0]
+	if excess <= 0 {
+		return
+	}
+	kept := m.records[:0]
 	for _, r := range m.records {
-		if excess > 0 && !uniqueInfo(r, coverage) {
-			for _, e := range r.Executions {
-				coverage[execKey{e.Node, e.Region}]--
-			}
+		if excess > 0 && !m.uniqueInfo(r) {
+			m.cover(r, -1)
 			excess--
 			continue
 		}
 		kept = append(kept, r)
 	}
+	clear(m.records[len(kept):])
 	m.records = kept
 }
 
-func uniqueInfo(r *platform.InvocationRecord, coverage map[execKey]int) bool {
+// cover adds delta to the coverage count of every node-region pair r
+// executed, deleting counts that reach zero.
+func (m *Manager) cover(r *platform.InvocationRecord, delta int) {
 	for _, e := range r.Executions {
-		if coverage[execKey{e.Node, e.Region}] <= 1 {
+		k := execKey{e.Node, e.Region}
+		if n := m.coverage[k] + delta; n > 0 {
+			m.coverage[k] = n
+		} else {
+			delete(m.coverage, k)
+		}
+	}
+}
+
+// uniqueInfo reports whether r is the only window record carrying one of
+// its node-region pairs.
+func (m *Manager) uniqueInfo(r *platform.InvocationRecord) bool {
+	for _, e := range r.Executions {
+		if m.coverage[execKey{e.Node, e.Region}] <= 1 {
 			return true
 		}
 	}

@@ -32,9 +32,10 @@ type FunctionRef struct {
 }
 
 // Topic returns the pub/sub topic name of the deployment, one topic per
-// function per region as in §6.1.
+// function per region as in §6.1: "<workflow>/<node>/<region>". The
+// platform builds it once per deployment (see PublishTo).
 func (f FunctionRef) Topic() string {
-	return fmt.Sprintf("%s/%s/%s", f.Workflow, f.Node, f.Region)
+	return f.Workflow + "/" + string(f.Node) + "/" + string(f.Region)
 }
 
 func (f FunctionRef) String() string { return f.Topic() }
@@ -87,8 +88,8 @@ type Platform struct {
 	rng    *simclock.Rand
 
 	registry    map[string]map[region.ID]float64 // workflow -> region -> image bytes
-	deployments map[string]*deployment           // by topic
-	roles       map[string]map[region.ID]bool    // workflow -> region -> IAM role exists
+	deployments map[FunctionRef]*deployment
+	roles       map[string]map[region.ID]bool // workflow -> region -> IAM role exists
 
 	regionConcurrency int
 	limiters          map[region.ID]*regionLimiter
@@ -127,7 +128,7 @@ func newPlatformTelemetry() platformTelemetry {
 }
 
 type deployment struct {
-	ref      FunctionRef
+	topic    string // FunctionRef.Topic(), built once at deploy time
 	lastUsed time.Time
 	everUsed bool
 }
@@ -151,7 +152,7 @@ func New(opts Options) (*Platform, error) {
 		kv:                kvstore.New(),
 		rng:               simclock.DeriveRand(opts.Seed, "platform"),
 		registry:          make(map[string]map[region.ID]float64),
-		deployments:       make(map[string]*deployment),
+		deployments:       make(map[FunctionRef]*deployment),
 		roles:             make(map[string]map[region.ID]bool),
 		regionConcurrency: conc,
 		limiters:          make(map[region.ID]*regionLimiter),
@@ -278,30 +279,29 @@ func (p *Platform) DeployFunction(ref FunctionRef, handler pubsub.Handler) error
 		return fmt.Errorf("platform: IAM role for %q missing in %q", ref.Workflow, ref.Region)
 	}
 	topic := ref.Topic()
-	p.deployments[topic] = &deployment{ref: ref}
+	p.deployments[ref] = &deployment{topic: topic}
 	p.broker.Subscribe(topic, handler)
 	return nil
 }
 
 // RemoveFunction deletes the deployment and its topic.
 func (p *Platform) RemoveFunction(ref FunctionRef) {
-	topic := ref.Topic()
-	delete(p.deployments, topic)
-	p.broker.Unsubscribe(topic)
+	delete(p.deployments, ref)
+	p.broker.Unsubscribe(ref.Topic())
 }
 
 // IsDeployed reports whether ref exists.
 func (p *Platform) IsDeployed(ref FunctionRef) bool {
-	_, ok := p.deployments[ref.Topic()]
+	_, ok := p.deployments[ref]
 	return ok
 }
 
 // Deployments returns the refs of all live deployments of a workflow.
 func (p *Platform) Deployments(workflow string) []FunctionRef {
 	var out []FunctionRef
-	for _, d := range p.deployments {
-		if d.ref.Workflow == workflow {
-			out = append(out, d.ref)
+	for ref := range p.deployments {
+		if ref.Workflow == workflow {
+			out = append(out, ref)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -318,7 +318,7 @@ func (p *Platform) Deployments(workflow string) []FunctionRef {
 // usage clock. The first invocation and invocations after a long idle
 // period pay the penalty, scaled by image size.
 func (p *Platform) ColdStartPenalty(ref FunctionRef, imageBytes float64) time.Duration {
-	d, ok := p.deployments[ref.Topic()]
+	d, ok := p.deployments[ref]
 	if !ok {
 		return 0
 	}
@@ -356,6 +356,17 @@ func (p *Platform) MessageLatency(from, to region.ID, bytes float64) time.Durati
 func (p *Platform) Publish(topic string, data []byte, latency time.Duration) error {
 	p.tel.publishes.Inc()
 	return p.broker.PublishAfter(topic, data, latency)
+}
+
+// PublishTo publishes data to the topic of the function deployment ref
+// with the given pre-computed latency. A live deployment's topic string
+// was built at deploy time; publishing to a ref with no deployment (the
+// message will retry until one appears, or drop) builds it here.
+func (p *Platform) PublishTo(ref FunctionRef, data []byte, latency time.Duration) error {
+	if d, ok := p.deployments[ref]; ok {
+		return p.Publish(d.topic, data, latency)
+	}
+	return p.Publish(ref.Topic(), data, latency)
 }
 
 // NoteTransfer counts one logged data movement in the platform's

@@ -1,9 +1,9 @@
 package simclock
 
 import (
-	"hash/fnv"
 	"math"
 	"math/rand"
+	"strconv"
 	"sync"
 )
 
@@ -18,23 +18,87 @@ type Rand struct {
 // bit-identical to rand.NewSource(seed) for every seed (pinned by
 // TestLazySourceMatchesMathRand) but with O(draws) seeding cost, which
 // matters because hot paths derive thousands of short-lived streams.
+// The hottest of them do not call NewRand per stream at all:
+//
+//   - the executor draws two or three per-decision streams per simulated
+//     node execution (duration, utilization, branch outcome); it reseeds
+//     one engine-owned Rand in place (Seed) from a LabelHash, so a
+//     simulated hop builds neither a label string nor a register;
+//   - the solver derives one stream per HBSS proposal through the pool
+//     (AcquireDerived / Release);
+//   - the Monte Carlo snapshot's untaped estimates reseed a pooled stream
+//     per estimate (AcquireRand).
+//
+// Only the plan-level Monte Carlo reference (montecarlo.Estimator)
+// still derives a fresh stream per estimate with DeriveRand.
 func NewRand(seed int64) *Rand {
 	return &Rand{src: rand.New(newLazySource(seed))}
 }
 
-// DeriveSeed returns the child seed DeriveRand would seed its stream with
-// for (seed, label). It is exposed so hot paths that derive many sibling
-// streams — e.g. the solver's per-iteration proposal streams — can compute
-// or compare stream identities without constructing a Rand.
-func DeriveSeed(seed int64, label string) int64 {
-	h := fnv.New64a()
-	var b [8]byte
+// Seed resets r in place to the stream NewRand(seed) returns. Reseeding
+// reuses r's register, so a caller that derives many short-lived streams
+// on one goroutine can keep a single scratch Rand instead of allocating
+// one per stream.
+func (r *Rand) Seed(seed int64) { r.src.Seed(seed) }
+
+// FNV-64a parameters (hash/fnv).
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// LabelHash derives DeriveSeed(seed, label) from the label's parts fed
+// one after another, so a hot path never builds the label string:
+//
+//	NewLabelHash(seed).Add("wf").Add("/").AddUint(7).Seed()
+//
+// equals DeriveSeed(seed, "wf/7"). It is a value type; each method
+// returns the extended hash.
+type LabelHash uint64
+
+// NewLabelHash starts a derivation for root seed: the FNV-64a state
+// after the seed's eight little-endian bytes.
+func NewLabelHash(seed int64) LabelHash {
+	h := LabelHash(fnvOffset64)
 	for i := 0; i < 8; i++ {
-		b[i] = byte(seed >> (8 * i))
+		h = h.addByte(byte(seed >> (8 * i)))
 	}
-	h.Write(b[:])
-	h.Write([]byte(label))
-	return int64(h.Sum64())
+	return h
+}
+
+// addByte feeds one label byte.
+func (h LabelHash) addByte(b byte) LabelHash {
+	return (h ^ LabelHash(b)) * fnvPrime64
+}
+
+// Add feeds s.
+func (h LabelHash) Add(s string) LabelHash {
+	for i := 0; i < len(s); i++ {
+		h = h.addByte(s[i])
+	}
+	return h
+}
+
+// AddUint feeds v in decimal, as fmt's %d prints it.
+func (h LabelHash) AddUint(v uint64) LabelHash {
+	var buf [20]byte
+	for _, b := range strconv.AppendUint(buf[:0], v, 10) {
+		h = h.addByte(b)
+	}
+	return h
+}
+
+// Seed returns the derived child seed.
+func (h LabelHash) Seed() int64 { return int64(h) }
+
+// DeriveSeed returns the child seed DeriveRand would seed its stream with
+// for (seed, label): FNV-64a over the seed's eight little-endian bytes
+// followed by the label. It is exposed so hot paths that derive many
+// sibling streams — e.g. the solver's per-iteration proposal streams —
+// can compute or compare stream identities without constructing a Rand;
+// LabelHash computes the same value from the label's parts.
+func DeriveSeed(seed int64, label string) int64 {
+	return NewLabelHash(seed).Add(label).Seed()
 }
 
 // DeriveRand returns an independent stream derived from a root seed and a
@@ -45,8 +109,8 @@ func DeriveRand(seed int64, label string) *Rand {
 }
 
 // randPool recycles Rand streams. A lazySource register is ~5.6 KB, and
-// the hot paths (one stream per HBSS proposal, one per untaped estimate)
-// derive thousands of short-lived streams per solve — re-seeding a
+// the pooled paths (one stream per HBSS proposal, one per untaped
+// snapshot estimate) derive thousands of short-lived streams per solve — re-seeding a
 // pooled register produces the bit-identical stream (Seed fully resets
 // x0, tap, feed, and the presence bitmap) without the allocation.
 var randPool = sync.Pool{New: func() any { return NewRand(0) }}
@@ -56,7 +120,7 @@ var randPool = sync.Pool{New: func() any { return NewRand(0) }}
 // a stream after releasing it.
 func AcquireRand(seed int64) *Rand {
 	r := randPool.Get().(*Rand)
-	r.src.Seed(seed)
+	r.Seed(seed)
 	return r
 }
 
