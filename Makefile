@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet lint bench bench-json bench-json-pr8 bench-json-pr9 bench-json-pr10 sweep-clean verify eval-output
+.PHONY: all build test race vet lint bench bench-json bench-json-pr8 bench-json-pr9 bench-json-pr10 sweep-clean verify eval-output golden
 
 all: build
 
@@ -40,7 +40,7 @@ vet:
 # controlplane function may transitively reach a wallclock or
 # global-rand sink — the chain is printed), hotalloc (no closure
 # literals, interface boxing, fmt calls, or grow-in-loop appends in the
-# montecarlo tape/delta/batch/bounds and solver HBSS hot files), and
+# montecarlo tape/batch/bounds and solver HBSS hot files), and
 # atomicpub (values published via atomic.Pointer.Store are
 # write-complete at publish; shard-owned controlplane state mutates
 # only inside its owning worker). Suppress an individual finding with
@@ -147,3 +147,11 @@ verify: build test race vet lint
 # artifact is gitignored — regenerate locally instead of versioning it.
 eval-output:
 	$(GO) run ./cmd/caribou-eval -quick all > eval_output.txt
+
+# golden is the only way to update testdata/golden/quick-all.txt, the
+# checked-in stdout of caribou-eval -quick all at the default seed (on
+# amd64) that CI diffs every run against. Any update needs a CHANGES.md
+# line saying why the figures moved.
+golden:
+	$(GO) run ./cmd/caribou-eval -quick all > testdata/golden/quick-all.txt.tmp
+	mv testdata/golden/quick-all.txt.tmp testdata/golden/quick-all.txt

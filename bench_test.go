@@ -396,7 +396,7 @@ func BenchmarkSolver24HourlyUntaped(b *testing.B) {
 
 // BenchmarkSolver24HourlyNoBatch is the daily plan generation with the
 // batched sweep and exact pruning disabled: candidates evaluate one at a
-// time (still taped, still delta-resumed). The gap to
+// time, each replaying the shared tape blocks in full. The gap to
 // BenchmarkSolver24Hourly is the batching + pruning speedup; results are
 // bit-identical either way (see TestSolveDeterministicAcrossEvalModes).
 func BenchmarkSolver24HourlyNoBatch(b *testing.B) {

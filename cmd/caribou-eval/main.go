@@ -14,7 +14,7 @@
 // both enable the telemetry recorder, which is otherwise off. Telemetry
 // is inert — figure output on stdout is bit-identical with it on or off.
 // -pprof ADDR serves net/http/pprof, and -cpuprofile/-memprofile write
-// runtime profiles. -eval-mode {nobatch,nodelta,nosoa,untaped} routes
+// runtime profiles. -eval-mode {nobatch,untaped} routes
 // every solve through one of the solver's reference evaluation paths;
 // stdout stays bit-identical in every mode (see EXPERIMENTS.md).
 package main
@@ -50,7 +50,7 @@ func realMain() int {
 	workers := flag.Int("workers", 0, "concurrent experiment runs (0 = GOMAXPROCS)")
 	traceFile := flag.String("trace", "", "write an NDJSON telemetry trace to this file")
 	summary := flag.Bool("telemetry", false, "print a telemetry summary table to stderr")
-	evalMode := flag.String("eval-mode", "", "solver evaluation path: nobatch, nodelta, nosoa, or untaped (default: batched SoA sweeps + delta replay; all paths are bit-identical)")
+	evalMode := flag.String("eval-mode", "", "solver evaluation path: nobatch or untaped (default: batched tape sweeps with exact pruning; all paths are bit-identical)")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file")
@@ -74,14 +74,10 @@ func realMain() int {
 	case "":
 	case "nobatch":
 		solver.SetDefaultEvalModes(solver.EvalModes{NoBatchEval: true})
-	case "nodelta":
-		solver.SetDefaultEvalModes(solver.EvalModes{NoDeltaEval: true})
-	case "nosoa":
-		solver.SetDefaultEvalModes(solver.EvalModes{NoSoATape: true})
 	case "untaped":
 		solver.SetDefaultEvalModes(solver.EvalModes{UntapedEstimates: true})
 	default:
-		fmt.Fprintf(os.Stderr, "caribou-eval: unknown -eval-mode %q (want nobatch, nodelta, nosoa, or untaped)\n", *evalMode)
+		fmt.Fprintf(os.Stderr, "caribou-eval: unknown -eval-mode %q (want nobatch or untaped)\n", *evalMode)
 		return 2
 	}
 	if *pprofAddr != "" {

@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"time"
 
@@ -41,6 +42,36 @@ type apiError struct {
 
 func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, apiError{Error: fmt.Sprintf(format, args...)})
+}
+
+// maxBodyBytes bounds register and trace request bodies; real ones are a
+// few hundred bytes.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes exactly one JSON value from a request body of at
+// most maxBodyBytes into v. On failure it writes the response itself —
+// 413 for an oversize body, 400 for malformed JSON or anything but
+// whitespace after the value — and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	err := dec.Decode(v)
+	trailing := false
+	if err == nil {
+		if _, err = dec.Token(); err == io.EOF {
+			return true
+		}
+		trailing = true
+	}
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooBig):
+		writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", maxBodyBytes)
+	case trailing:
+		writeError(w, http.StatusBadRequest, "bad request body: trailing data after JSON value")
+	default:
+		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	}
+	return false
 }
 
 // writeOverloaded maps admission-control rejection to 429. Retry-After is
@@ -102,8 +133,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	sp := s.tel.rec.StartSpan("controlplane.register")
 	defer sp.End()
 	var req RegisterRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	wl, err := workloads.ByName(req.Workload)
@@ -275,8 +305,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req TraceRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	at, err := time.Parse(time.RFC3339, req.At)

@@ -161,6 +161,68 @@ func TestTraceValidation(t *testing.T) {
 	}
 }
 
+// TestRequestBodyLimits pins the register and trace body contract: a body
+// over maxBodyBytes gets 413 whether the excess is inside the JSON value
+// or after it, anything but whitespace after the value gets 400, trailing
+// whitespace (json.Encoder's newline) is accepted, and the next valid
+// request on the same server still succeeds.
+func TestRequestBodyLimits(t *testing.T) {
+	srv := newTestServer(t, 1)
+	register(t, srv, `{"id":"t1","workload":"image-processing"}`)
+	at := DefaultStart.Add(time.Hour).Format(time.RFC3339)
+	pad := strings.Repeat("x", maxBodyBytes)
+	cases := []struct {
+		name, path, body string
+		status           int
+	}{
+		{"register oversize value", "/v1/workflows", `{"id":"` + pad + `","workload":"image-processing"}`, http.StatusRequestEntityTooLarge},
+		{"register oversize tail", "/v1/workflows", `{"id":"t2","workload":"image-processing"}` + strings.Repeat(" ", maxBodyBytes), http.StatusRequestEntityTooLarge},
+		{"register second value", "/v1/workflows", `{"id":"t2","workload":"image-processing"} {}`, http.StatusBadRequest},
+		{"register trailing garbage", "/v1/workflows", `{"id":"t2","workload":"image-processing"}x`, http.StatusBadRequest},
+		{"trace oversize value", "/v1/workflows/t1/trace", fmt.Sprintf(`{"at":%q,"class":%q}`, at, pad), http.StatusRequestEntityTooLarge},
+		{"trace second value", "/v1/workflows/t1/trace", fmt.Sprintf(`{"at":%q,"invocations":1}{"at":%q}`, at, at), http.StatusBadRequest},
+		{"trace trailing garbage", "/v1/workflows/t1/trace", fmt.Sprintf(`{"at":%q,"invocations":1},`, at), http.StatusBadRequest},
+	}
+	for _, tc := range cases {
+		if w := do(t, srv, "POST", tc.path, tc.body); w.Code != tc.status {
+			t.Errorf("%s: status %d, want %d (%.200s)", tc.name, w.Code, tc.status, w.Body.String())
+		}
+	}
+	// None of the rejected requests registered t2 or moved t1.
+	register(t, srv, `{"id":"t2","workload":"image-processing"}`+"\n\t ")
+	w := do(t, srv, "POST", "/v1/workflows/t1/trace", fmt.Sprintf(`{"at":%q,"invocations":200}`+"\n", at))
+	if w.Code != http.StatusOK {
+		t.Fatalf("valid trace after rejections: status %d: %s", w.Code, w.Body.String())
+	}
+	if resp := decode[TraceResponse](t, w); resp.Earned <= 0 {
+		t.Errorf("valid trace after rejections earned %v tokens", resp.Earned)
+	}
+}
+
+// TestRequestBodyLimitOverHTTP drives an oversize register body through a
+// real listener: the client sees 413, and its next request — on a fresh
+// connection if the server closed the old one — succeeds.
+func TestRequestBodyLimitOverHTTP(t *testing.T) {
+	srv := newTestServer(t, 1)
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	post := func(body string) int {
+		t.Helper()
+		resp, err := ts.Client().Post(ts.URL+"/v1/workflows", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if code := post(`{"id":"big","workload":"image-processing","home":"` + strings.Repeat("y", 2*maxBodyBytes) + `"}`); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversize body: status %d, want 413", code)
+	}
+	if code := post(`{"id":"ok","workload":"image-processing"}`); code != http.StatusCreated {
+		t.Errorf("valid register after 413: status %d, want 201", code)
+	}
+}
+
 func TestNoTokensNoPlanAndSolveConflict(t *testing.T) {
 	srv := newTestServer(t, 1)
 	// A vanishingly small explicit grant affords no solve: registration

@@ -121,8 +121,8 @@ func (s *Snapshot) releaseLanes(lanes []*batchLane) {
 // sweeps over the hour's tape. Results align with assigns; an entry is
 // nil exactly when pruning proved that candidate's Metric mean exceeds
 // its threshold, and otherwise bit-identical to Estimate(assigns[i], h).
-// Snapshots without SoA tapes (or with deferred exec errors) fall back
-// to sequential evaluation with pruning disabled.
+// Snapshots without tapes (or with deferred exec errors) fall back to
+// sequential evaluation with pruning disabled.
 func (s *Snapshot) EstimateBatch(assigns [][]int, h int, prune *BatchPrune) ([]*Estimate, error) {
 	for _, a := range assigns {
 		if err := s.checkArgs(a, h); err != nil {
@@ -133,7 +133,7 @@ func (s *Snapshot) EstimateBatch(assigns [][]int, h int, prune *BatchPrune) ([]*
 	if len(assigns) == 0 {
 		return out, nil
 	}
-	if s.tapes == nil || !s.soaTapes || s.anyExecErr {
+	if s.tapes == nil || s.anyExecErr {
 		for i, a := range assigns {
 			est, err := s.Estimate(a, h)
 			if err != nil {
@@ -174,9 +174,10 @@ func (s *Snapshot) batchSweepFull(t *hourTape, lanes []*batchLane, h int, metric
 	n := 0
 	for n < MaxSamples && len(active) > 0 {
 		td := t.ensure(s, h, n+BatchSize)
-		for i := n; i < n+BatchSize; i++ {
-			s.batchInitSample(td, i, h, active)
-			s.batchRunSteps(td, td.stepOff[i], td.stepOff[i+1], h, active)
+		k := td.blocks[n/BatchSize]
+		for j := 0; j < BatchSize; j++ {
+			s.batchInitSample(k, j, h, active)
+			s.batchRunSteps(k, k.stepOff[j], k.stepOff[j+1], h, active)
 			for _, ln := range active {
 				ln.acc.add(ln.smp)
 			}
@@ -190,17 +191,18 @@ func (s *Snapshot) batchSweepFull(t *hourTape, lanes []*batchLane, h int, metric
 	return nil
 }
 
-// batchInitSample resets every lane's scratch and replays recorded sample
-// i's entry block for each lane, mirroring replaySoA's prologue exactly.
-func (s *Snapshot) batchInitSample(td *tapeData, i, h int, lanes []*batchLane) {
+// batchInitSample resets every lane's scratch and replays the entry block
+// of sample j of block k for each lane, mirroring replaySoA's prologue
+// exactly.
+func (s *Snapshot) batchInitSample(k *tapeBlock, j, h int, lanes []*batchLane) {
 	home := s.home
 	nR := s.nR
 	rf := s.txRF[h]
 	txBase, txPerByte := s.txBase, s.txPerByte
 	egress := s.egressPerGB
 	entry := s.start
-	entryBytes := td.entry[i]
-	q := td.soa.entry9[i]
+	entryBytes := k.entry[j]
+	q := k.entry9[j]
 	eb := entryBytes
 	if eb < 0 {
 		eb = 0
@@ -211,9 +213,9 @@ func (s *Snapshot) batchInitSample(td *tapeData, i, h int, lanes []*batchLane) {
 	dynRead := s.dynReadUSD
 	for _, ln := range lanes {
 		st, rd := ln.start, ln.ready
-		for k := range st {
-			st[k] = 0
-			rd[k] = 0
+		for v := range st {
+			st[v] = 0
+			rd[v] = 0
 		}
 		var smp sample
 		he := home*nR + ln.assign[entry]
@@ -228,14 +230,13 @@ func (s *Snapshot) batchInitSample(td *tapeData, i, h int, lanes []*batchLane) {
 	}
 }
 
-// batchRunSteps replays the step span [lo, hi) for every lane: steps
-// outermost so each plan-independent column load is shared, lanes
-// innermost with each lane executing the exact runSoASteps body against
-// its own scratch and accumulators. Callers must guarantee no exec
-// errors exist (s.anyExecErr false) — like the pair replayers, the batch
-// body omits the per-step error check.
-func (s *Snapshot) batchRunSteps(td *tapeData, lo, hi int32, h int, lanes []*batchLane) {
-	c := td.soa
+// batchRunSteps replays the step span [lo, hi) of block k for every
+// lane: steps outermost so each plan-independent column load is shared,
+// lanes innermost with each lane executing the exact runSoASteps body
+// against its own scratch and accumulators. Callers must guarantee no
+// exec errors exist (s.anyExecErr false) — like the pair replayers, the
+// batch body omits the per-step error check.
+func (s *Snapshot) batchRunSteps(k *tapeBlock, lo, hi int32, h int, lanes []*batchLane) {
 	home := s.home
 	nR := s.nR
 	inten := s.intensity[h]
@@ -247,9 +248,9 @@ func (s *Snapshot) batchRunSteps(td *tapeData, lo, hi int32, h int, lanes []*bat
 	kvAccess := s.kvAccess
 	dynRead, dynWrite := s.dynReadUSD, s.dynWriteUSD
 	snsUSD := s.snsUSD
-	nodeC, flagsC, stagedC, outC, drcC, aux9C, out9C := c.node, c.flags, c.staged, c.out, c.drc, c.aux9, c.out9
-	edgeOffC, toC, kindC, bytesC, skipOffC, e9C := c.edgeOff, c.to, c.kind, c.bytes, c.skipOff, c.e9
-	skipS := td.skipSyncs
+	nodeC, flagsC, stagedC, outC, drcC, aux9C, out9C := k.node, k.flags, k.staged, k.out, k.drc, k.aux9, k.out9
+	edgeOffC, toC, kindC, bytesC, skipOffC, e9C := k.edgeOff, k.to, k.kind, k.bytes, k.skipOff, k.e9
+	skipS := k.skipSyncs
 
 	for si := lo; si < hi; si++ {
 		n := int(nodeC[si])
@@ -309,8 +310,8 @@ func (s *Snapshot) batchRunSteps(td *tapeData, lo, hi int32, h int, lanes []*bat
 					to := int(toC[ei])
 					switch kindC[ei] {
 					case tapeEdgeSkip:
-						for k := skipOffC[ei]; k < skipOffC[ei+1]; k++ {
-							sn := int(skipS[k])
+						for ki := skipOffC[ei]; ki < skipOffC[ei+1]; ki++ {
+							sn := int(skipS[ki])
 							if finish > ln.ready[sn] {
 								ln.ready[sn] = finish
 							}
@@ -367,7 +368,7 @@ func (s *Snapshot) batchRunSteps(td *tapeData, lo, hi int32, h int, lanes []*bat
 // compacted live set (filtering active in place — callers pass a copy).
 func (s *Snapshot) batchBoundary(td *tapeData, active []*batchLane, n int, metric BatchMetric) ([]*batchLane, error) {
 	live := active[:0]
-	c := td.soa
+	bounded := td.boundsOK()
 	for _, ln := range active {
 		if ln.acc.converged() || n >= MaxSamples {
 			est, err := ln.acc.summarize()
@@ -380,7 +381,7 @@ func (s *Snapshot) batchBoundary(td *tapeData, active []*batchLane, n int, metri
 			s.tel.tapeReplays.Add(int64(n))
 			continue
 		}
-		if c.bndOK && !math.IsInf(ln.thr, 1) && batchLowerBound(c, ln, n, td.n, metric) > ln.thr {
+		if bounded && !math.IsInf(ln.thr, 1) && batchLowerBound(td, ln, n, metric) > ln.thr {
 			ln.pruned = true
 			s.tel.prunedCandidates.Inc()
 			continue
@@ -394,247 +395,34 @@ func (s *Snapshot) batchBoundary(td *tapeData, active []*batchLane, n int, metri
 // pruning metric over every sample count the stopping rule could still
 // halt at. The lane's partial sum is re-accumulated left-to-right — the
 // exact float prefix of the summation stats.Mean would perform — and the
-// remaining samples contribute their prefix-sum floors (bounds.go);
-// samples past the compiled tape contribute an implicit 0, valid because
-// the floors are non-negative whenever bndOK holds.
-func batchLowerBound(c *soaCols, ln *batchLane, n, compiled int, metric BatchMetric) float64 {
-	var series, pre []float64
+// remaining samples contribute their floor sums (bounds.go); samples
+// past the compiled tape contribute an implicit 0, valid because the
+// floors are non-negative whenever bndOK holds.
+func batchLowerBound(td *tapeData, ln *batchLane, n int, metric BatchMetric) float64 {
+	var series []float64
 	switch metric {
 	case BatchCostMean:
-		series, pre = ln.acc.cost, c.preCost
+		series = ln.acc.cost
 	case BatchLatencyMean:
-		series, pre = ln.acc.lat, c.preLat
+		series = ln.acc.lat
 	default:
-		series, pre = ln.acc.carb, c.preCarb
+		series = ln.acc.carb
 	}
 	var partial float64
 	for _, v := range series {
 		partial += v
 	}
 	low := math.Inf(1)
+	preN := td.floorSum(metric, n)
 	for nf := n + BatchSize; nf <= MaxSamples; nf += BatchSize {
 		known := nf
-		if known > compiled {
-			known = compiled
+		if known > td.n {
+			known = td.n
 		}
-		b := (partial + (pre[known] - pre[n])) / float64(nf)
+		b := (partial + (td.floorSum(metric, known) - preN)) / float64(nf)
 		if b < low {
 			low = b
 		}
 	}
 	return low
-}
-
-// EstimateBatchDelta is EstimateBatch composed with delta anchors: lanes
-// whose dirty cone against the cached anchor opens at the same firstUse
-// boundary share one checkpoint restore per sample and sweep the dirty
-// suffix together. Per-lane semantics match EstimateDelta exactly — the
-// trivial no-diff shortcut, the fallback conditions (each counted), and
-// the anchor lifecycle are evaluated lane by lane — with nil results for
-// pruned lanes, as in EstimateBatch.
-func (s *Snapshot) EstimateBatchDelta(base *Estimate, baseAssign []int, assigns [][]int, h int, prune *BatchPrune) ([]*Estimate, error) {
-	for _, a := range assigns {
-		if err := s.checkArgs(a, h); err != nil {
-			return nil, err
-		}
-	}
-	out := make([]*Estimate, len(assigns))
-	if len(assigns) == 0 {
-		return out, nil
-	}
-	if s.tapes == nil || !s.soaTapes || s.anyExecErr {
-		for i, a := range assigns {
-			est, err := s.EstimateDelta(base, baseAssign, a, h)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = est
-		}
-		return out, nil
-	}
-	if err := s.checkArgs(baseAssign, h); err != nil {
-		return nil, err
-	}
-	if s.nodes.Len() > deltaMaxNodes || len(s.fuBounds) == 0 {
-		s.tel.deltaFallbacks.Add(int64(len(assigns)))
-		return s.EstimateBatch(assigns, h, prune)
-	}
-	lanes := s.newBatchLanes(assigns, prune)
-	defer s.releaseLanes(lanes)
-	metric := pruneMetric(prune)
-	t := s.tapes[h]
-
-	// Partition lanes by how they evaluate. Trivial no-diff lanes take the
-	// incumbent's estimate; lanes that cannot resume (entry-node cone,
-	// anchor unavailable) replay in full together; the rest group by their
-	// resume boundary so each group shares one checkpoint restore.
-	pending := make([]*batchLane, 0, len(lanes))
-	full := make([]*batchLane, 0, len(lanes))
-	for _, ln := range lanes {
-		fInc := coneBoundary(s.firstUse, baseAssign, ln.assign)
-		switch {
-		case fInc == math.MaxInt32 && base != nil:
-			ln.est = base
-		case fInc < 1:
-			s.tel.deltaFallbacks.Inc()
-			full = append(full, ln)
-		default:
-			pending = append(pending, ln)
-		}
-	}
-
-	min := reanchorBoundary(s.nodes.Len())
-	an := t.anchor.Load()
-	if len(pending) > 0 && (an == nil || coneBoundary(s.firstUse, an.assign, baseAssign) < min) {
-		// No usable anchor. As in EstimateDelta, the first anchor-eligible
-		// lane (cone vs the incumbent ≥ 1, so an anchor at its plan stays
-		// fresh) records its own full replay as the new anchor; TryLock
-		// keeps concurrent workers moving — losers replay their whole
-		// group in full.
-		if t.anchorMu.TryLock() {
-			a2 := t.anchor.Load()
-			if a2 == nil || coneBoundary(s.firstUse, a2.assign, baseAssign) < min {
-				est, a, err := s.estimateRecordingAnchor(t, h, pending[0].assign)
-				if err != nil {
-					t.anchorMu.Unlock()
-					return nil, err
-				}
-				t.anchor.Store(a)
-				t.anchorMu.Unlock()
-				pending[0].est = est
-				pending = pending[1:]
-				an = a
-			} else {
-				t.anchorMu.Unlock()
-				an = a2
-			}
-		} else {
-			s.tel.deltaFallbacks.Add(int64(len(pending)))
-			full = append(full, pending...)
-			pending = nil
-		}
-	}
-
-	// groups is indexed by resume-boundary position in fuBounds, so group
-	// execution order is deterministic regardless of lane order or anchor
-	// races.
-	groups := make([][]*batchLane, len(s.fuBounds))
-	for _, ln := range pending {
-		f := coneBoundary(s.firstUse, an.assign, ln.assign)
-		switch {
-		case f < 1:
-			s.tel.deltaFallbacks.Inc()
-			full = append(full, ln)
-		case f == math.MaxInt32:
-			// The lane is the anchor plan itself; a full replay is cheaper
-			// than resuming every sample at its last boundary.
-			full = append(full, ln)
-		default:
-			b := 0
-			for an.bounds[b] != f {
-				b++
-			}
-			groups[b] = append(groups[b], ln)
-		}
-	}
-
-	if len(full) == 1 {
-		est, err := s.estimateTaped(full[0].assign, h)
-		if err != nil {
-			return nil, err
-		}
-		full[0].est = est
-	} else if len(full) > 1 {
-		if err := s.batchSweepFull(t, full, h, metric); err != nil {
-			return nil, err
-		}
-	}
-	for b, g := range groups {
-		switch {
-		case len(g) == 0:
-		case len(g) == 1:
-			est, err := s.estimateFromAnchor(an, g[0].assign, h, an.bounds[b], b)
-			if err != nil {
-				return nil, err
-			}
-			g[0].est = est
-		default:
-			if err := s.batchSweepResume(t, an, g, h, an.bounds[b], b, metric); err != nil {
-				return nil, err
-			}
-		}
-	}
-	for _, ln := range lanes {
-		out[ln.out] = ln.est
-	}
-	return out, nil
-}
-
-// batchSweepResume is batchSweepFull with per-sample anchor resume: all
-// lanes in the group share the boundary, so checkpointed samples restore
-// one recorded cone block (per lane) and sweep only the dirty suffix;
-// samples the anchor never checkpointed replay in full.
-func (s *Snapshot) batchSweepResume(t *hourTape, an *deltaAnchor, lanes []*batchLane, h int, f int32, b int, metric BatchMetric) error {
-	s.tel.batchSweeps.Inc()
-	s.tel.batchPlans.Add(int64(len(lanes)))
-	active := append([]*batchLane(nil), lanes...)
-	nB := len(an.bounds)
-	resumed := 0
-	n := 0
-	for n < MaxSamples && len(active) > 0 {
-		td := t.ensure(s, h, n+BatchSize)
-		for i := n; i < n+BatchSize; i++ {
-			if i < an.n {
-				resumed += len(active)
-				j := an.jump[i*nB+b]
-				if j < 0 {
-					// No step reads a changed assignment: the anchor's
-					// result holds for every lane in the group.
-					o := i * 4
-					smp := sample{
-						latency:    an.final[o],
-						cost:       an.final[o+1],
-						execCarbon: an.final[o+2],
-						txCarbon:   an.final[o+3],
-					}
-					for _, ln := range active {
-						ln.acc.add(smp)
-					}
-					continue
-				}
-				o := (i*nB + b) * 4
-				smp := sample{
-					latency:    an.acc[o],
-					cost:       an.acc[o+1],
-					execCarbon: an.acc[o+2],
-					txCarbon:   an.acc[o+3],
-				}
-				nN := an.nNodes
-				off0 := int(an.base[b]) + i*int(an.stride[b])
-				for _, ln := range active {
-					off := off0
-					for v := int(f); v < nN; v++ {
-						ln.start[v] = an.start[off]
-						ln.ready[v] = an.ready[off]
-						off++
-					}
-					ln.smp = smp
-				}
-				s.batchRunSteps(td, j, td.stepOff[i+1], h, active)
-			} else {
-				s.batchInitSample(td, i, h, active)
-				s.batchRunSteps(td, td.stepOff[i], td.stepOff[i+1], h, active)
-			}
-			for _, ln := range active {
-				ln.acc.add(ln.smp)
-			}
-		}
-		n += BatchSize
-		var err error
-		if active, err = s.batchBoundary(td, active, n, metric); err != nil {
-			return err
-		}
-	}
-	s.tel.deltaResumed.Add(int64(resumed))
-	return nil
 }

@@ -9,6 +9,7 @@ import (
 	"caribou/internal/dag"
 	"caribou/internal/region"
 	"caribou/internal/stats"
+	"caribou/internal/telemetry"
 )
 
 // noisyInputs overlays moderately skewed exec durations (sd/mean ≈ 1.6
@@ -46,6 +47,15 @@ func batchPlanSet(d *dag.DAG) []dag.Plan {
 		flip = !flip
 	}
 	return []dag.Plan{home, green, mixed}
+}
+
+// enableTelemetry installs a fresh process recorder for the test so the
+// counters (captured at Estimator construction) are live, and restores
+// the disabled default afterwards.
+func enableTelemetry(t *testing.T) {
+	t.Helper()
+	telemetry.Enable(telemetry.Options{})
+	t.Cleanup(telemetry.Disable)
 }
 
 // assertBatchParity runs EstimateBatch over the plan set and requires
@@ -241,105 +251,37 @@ func TestEstimateBatchLowerBoundNeverExceedsMetric(t *testing.T) {
 	}
 }
 
-// TestEstimateBatchDeltaBitIdenticalToFull covers the composed path:
-// anchored resumes for single-node diffs (grouped by shared firstUse
-// boundary), structural fallbacks for entry-node and multi-node diffs,
-// and the identical-plan shortcut — each bit-identical to full replay.
-func TestEstimateBatchDeltaBitIdenticalToFull(t *testing.T) {
+// TestEstimateBatchFallsBackWithoutSoA pins the escape hatch: with no
+// tapes there are no columns to sweep, so EstimateBatch must degrade to
+// sequential full estimates — still bit-identical, never pruned (the
+// bound needs the columns).
+func TestEstimateBatchFallsBackWithoutSoA(t *testing.T) {
 	in := richInputs(t)
-	snap, err := New(in, carbon.BestCase(), 42).Compile(nil, []time.Time{t0}, t0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	home := dag.NewHomePlan(in.d, region.USEast1)
-	neighbor := func(changes map[dag.NodeID]region.ID) dag.Plan {
-		p := dag.Plan{}
-		for k, v := range home {
-			p[k] = v
-		}
-		for k, v := range changes {
-			p[k] = v
-		}
-		return p
-	}
-	plans := []dag.Plan{
-		neighbor(map[dag.NodeID]region.ID{"tail": region.CACentral1}),
-		neighbor(map[dag.NodeID]region.ID{"tail": region.USWest2}),
-		neighbor(map[dag.NodeID]region.ID{"join": region.CACentral1}),
-		neighbor(map[dag.NodeID]region.ID{"start": region.CACentral1}),
-		neighbor(map[dag.NodeID]region.ID{"left": region.USWest2, "tail": region.CACentral1}),
-		neighbor(nil), // identical plan
-	}
-	baseAssign, err := snap.Assign(home)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, err := snap.Estimate(baseAssign, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assigns := make([][]int, len(plans))
-	for i, p := range plans {
-		if assigns[i], err = snap.Assign(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got, err := snap.EstimateBatchDelta(base, baseAssign, assigns, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, est := range got {
-		want, err := snap.Estimate(assigns[i], 0)
+	t.Run("untaped", func(t *testing.T) {
+		snap, err := New(in, carbon.BestCase(), 11).Compile(nil, []time.Time{t0}, t0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if est == nil {
-			t.Fatalf("plan %d: nil without pruning", i)
+		snap.SetTapes(false)
+		plans := batchPlanSet(in.d)
+		assigns := make([][]int, len(plans))
+		for i, p := range plans {
+			if assigns[i], err = snap.Assign(p); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if *est != *want {
-			t.Errorf("plan %v: batch delta %+v, full %+v", plans[i], est, want)
+		got, err := snap.EstimateBatch(assigns, 0, &BatchPrune{Threshold: []float64{0, 0, 0}})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-}
-
-// TestEstimateBatchFallsBackWithoutSoA pins the escape hatches: with the
-// AoS tape layout or no tapes at all there are no SoA columns to sweep,
-// so EstimateBatch must degrade to sequential full estimates — still
-// bit-identical, never pruned (the bound needs the columns).
-func TestEstimateBatchFallsBackWithoutSoA(t *testing.T) {
-	in := richInputs(t)
-	for _, mode := range []string{"aos", "untaped"} {
-		t.Run(mode, func(t *testing.T) {
-			snap, err := New(in, carbon.BestCase(), 11).Compile(nil, []time.Time{t0}, t0)
+		for i, est := range got {
+			want, err := snap.Estimate(assigns[i], 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			switch mode {
-			case "aos":
-				snap.SetSoA(false)
-			case "untaped":
-				snap.SetTapes(false)
+			if est == nil || *est != *want {
+				t.Errorf("plan %d: fallback diverges (%+v vs %+v)", i, est, want)
 			}
-			plans := batchPlanSet(in.d)
-			assigns := make([][]int, len(plans))
-			for i, p := range plans {
-				if assigns[i], err = snap.Assign(p); err != nil {
-					t.Fatal(err)
-				}
-			}
-			got, err := snap.EstimateBatch(assigns, 0, &BatchPrune{Threshold: []float64{0, 0, 0}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, est := range got {
-				want, err := snap.Estimate(assigns[i], 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if est == nil || *est != *want {
-					t.Errorf("%s plan %d: fallback diverges (%+v vs %+v)", mode, i, est, want)
-				}
-			}
-		})
-	}
+		}
+	})
 }

@@ -7,7 +7,7 @@ package montecarlo
 // solver-supplied threshold. That requires, for every compiled sample, a
 // lower bound on the metric contribution the sample makes under *any*
 // assignment. Because the tape fixes the event skeleton, such a bound is
-// computable once per sample at transpose time by replaying the sample
+// computable once per sample at compile time by replaying the sample
 // with every region-dependent coefficient replaced by its minimum over
 // the choices a plan could make:
 //
@@ -25,9 +25,10 @@ package montecarlo
 // round-to-nearest is itself monotone, so the bound replay's float result
 // is ≤ the real replay's float result for every plan, sample by sample:
 // the bound is exact at the float level, not just in real arithmetic.
-// Per-sample bounds are accumulated into prefix-sum columns
-// (soaCols.preLat/preCost/preCarb) so the remaining-sample floor of any
-// span is two loads and a subtraction at prune-check time. The only slack
+// Per-sample bounds are accumulated into one running sum per metric,
+// recorded at every block end (tapeBlock.preLat/preCost/preCarb); pruning
+// checks only ever ask for spans between batch boundaries, so the
+// remaining-sample floor of any span is two loads and a subtraction. The only slack
 // the consumer must absorb is prefix-sum reassociation (≤ n·ε relative),
 // which the solver's threshold margin covers by many orders of magnitude.
 //
@@ -113,14 +114,14 @@ func (s *Snapshot) bakeBoundTables() {
 	s.bnd.ok = true
 }
 
-// bakeBoundSteps fills the per-step bound triples for steps
-// [oldSteps, nS): the minimum over regions of each drc entry, with the
-// energy intermediate folded against the hour's intensities and PUE in
-// the replay's exact expression shape (inten[r]*drc*PUE).
-func (s *Snapshot) bakeBoundSteps(c *soaCols, h, oldSteps, nS int) {
+// bakeBoundSteps fills the block's per-step bound triples: the minimum
+// over regions of each drc entry, with the energy intermediate folded
+// against the hour's intensities and PUE in the replay's exact expression
+// shape (inten[r]*drc*PUE).
+func (s *Snapshot) bakeBoundSteps(c *tapeBlock, h int) {
 	nR := s.nR
 	inten := s.intensity[h]
-	for i := oldSteps; i < nS; i++ {
+	for i := range c.node {
 		base := i * nR * 3
 		minD := c.drc[base]
 		minE := inten[0] * c.drc[base+1] * carbon.PUE
@@ -143,11 +144,11 @@ func (s *Snapshot) bakeBoundSteps(c *soaCols, h, oldSteps, nS int) {
 	}
 }
 
-// boundReplay replays recorded sample i with every region-dependent
+// boundReplay replays sample j of block c with every region-dependent
 // coefficient at its minimum, returning per-sample floors for the three
 // convergence metrics. The control flow mirrors replaySoA/runSoASteps
 // expression for expression so float monotonicity applies term-wise.
-func (s *Snapshot) boundReplay(ref *tapeData, c *soaCols, i, h int, sc *replayScratch) (lat, cost, carb float64) {
+func (s *Snapshot) boundReplay(c *tapeBlock, j, h int, sc *replayScratch) (lat, cost, carb float64) {
 	sc.reset()
 	var smp sample
 	b := &s.bnd
@@ -156,11 +157,11 @@ func (s *Snapshot) boundReplay(ref *tapeData, c *soaCols, i, h int, sc *replaySc
 	snsHome := s.snsUSD[s.home]
 	dynRead, dynWrite := s.dynReadUSD, s.dynWriteUSD
 
-	entryBytes := ref.entry[i]
+	entryBytes := c.entry[j]
 	smp.cost += dynRead
 	smp.cost += snsHome
 	if entryBytes > 0 {
-		q := c.entry9[i]
+		q := c.entry9[j]
 		smp.txCarbon += rfHR * q
 		smp.cost += q * b.egressHomeRow
 	}
@@ -170,7 +171,7 @@ func (s *Snapshot) boundReplay(ref *tapeData, c *soaCols, i, h int, sc *replaySc
 	}
 	sc.setStart(s.start, s.kvAccess[s.home]+msgOverhead+(b.txBaseHomeRow+eb*b.txPerByteHomeRow))
 
-	for si := ref.stepOff[i]; si < ref.stepOff[i+1]; si++ {
+	for si := c.stepOff[j]; si < c.stepOff[j+1]; si++ {
 		n := int(c.node[si])
 		flags := c.flags[si]
 		var startN float64
@@ -218,7 +219,7 @@ func (s *Snapshot) boundReplay(ref *tapeData, c *soaCols, i, h int, sc *replaySc
 			switch c.kind[ei] {
 			case tapeEdgeSkip:
 				for k := c.skipOff[ei]; k < c.skipOff[ei+1]; k++ {
-					sn := int(ref.skipSyncs[k])
+					sn := int(c.skipSyncs[k])
 					if finish > sc.getReady(sn) {
 						sc.setReady(sn, finish)
 					}
@@ -263,19 +264,46 @@ func (s *Snapshot) boundReplay(ref *tapeData, c *soaCols, i, h int, sc *replaySc
 	return smp.latency, smp.cost, smp.execCarbon + smp.txCarbon
 }
 
-// bakeBoundSamples extends the metric prefix-sum columns over samples
-// [oldSamp, nSamp), latching bndOK false if any per-sample floor is
-// negative (see package comment above).
-func (s *Snapshot) bakeBoundSamples(ref *tapeData, c *soaCols, h, oldSamp, nSamp int) {
+// bakeBoundSamples continues the metric floor sums from the previous
+// block (nil for the first) over the block's samples, latching bndOK
+// false if any per-sample floor is negative (see package comment above).
+func (s *Snapshot) bakeBoundSamples(c, prev *tapeBlock, h int) {
+	c.bndOK = true
+	if prev != nil {
+		c.preLat, c.preCost, c.preCarb = prev.preLat, prev.preCost, prev.preCarb
+	}
 	sc := s.getScratch()
 	defer s.putScratch(sc)
-	for i := oldSamp; i < nSamp; i++ {
-		lat, cost, carb := s.boundReplay(ref, c, i, h, sc)
+	for j := 0; j < BatchSize; j++ {
+		lat, cost, carb := s.boundReplay(c, j, h, sc)
 		if lat < 0 || cost < 0 || carb < 0 {
 			c.bndOK = false
 		}
-		c.preLat[i+1] = c.preLat[i] + lat
-		c.preCost[i+1] = c.preCost[i] + cost
-		c.preCarb[i+1] = c.preCarb[i] + carb
+		c.preLat += lat
+		c.preCost += cost
+		c.preCarb += carb
+	}
+}
+
+// boundsOK reports whether the tape's pruning floors are valid: every
+// compiled sample was bounded and no floor went negative.
+func (td *tapeData) boundsOK() bool {
+	return td.n > 0 && td.blocks[len(td.blocks)-1].bndOK
+}
+
+// floorSum returns the running sum of the metric's per-sample floors over
+// the first n samples; n must be a multiple of BatchSize within the tape.
+func (td *tapeData) floorSum(metric BatchMetric, n int) float64 {
+	if n == 0 {
+		return 0
+	}
+	c := td.blocks[n/BatchSize-1]
+	switch metric {
+	case BatchCostMean:
+		return c.preCost
+	case BatchLatencyMean:
+		return c.preLat
+	default:
+		return c.preCarb
 	}
 }

@@ -95,13 +95,6 @@ type mcTelemetry struct {
 	tapeBatches *telemetry.Counter
 	tapeSamples *telemetry.Counter
 	tapeReplays *telemetry.Counter
-	// Delta-replay accounting (delta.go): anchors built, samples resumed
-	// from an anchor checkpoint (the incremental win), and EstimateDelta
-	// calls that fell back to full replay (multi-node diff, entry-node
-	// diff, oversized DAG, or non-SoA tapes).
-	deltaAnchors   *telemetry.Counter
-	deltaResumed   *telemetry.Counter
-	deltaFallbacks *telemetry.Counter
 	// Batch-replay accounting (batch.go): shared sweeps run, candidate
 	// plans evaluated through them, and candidates abandoned mid-sweep by
 	// the exact bound-based pruning rule.
@@ -118,9 +111,6 @@ func newMCTelemetry() mcTelemetry {
 		tapeBatches:      rec.Counter("montecarlo.tape_batches"),
 		tapeSamples:      rec.Counter("montecarlo.tape_samples"),
 		tapeReplays:      rec.Counter("montecarlo.tape_replays"),
-		deltaAnchors:     rec.Counter("montecarlo.delta_anchors"),
-		deltaResumed:     rec.Counter("montecarlo.delta_resumed"),
-		deltaFallbacks:   rec.Counter("montecarlo.delta_fallbacks"),
 		batchSweeps:      rec.Counter("montecarlo.batch_sweeps"),
 		batchPlans:       rec.Counter("montecarlo.batch_plans"),
 		prunedCandidates: rec.Counter("montecarlo.pruned_candidates"),

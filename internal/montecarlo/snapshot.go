@@ -2,7 +2,6 @@ package montecarlo
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -53,30 +52,18 @@ type Snapshot struct {
 	// when tape replay is disabled and every Estimate takes the untaped
 	// reference path.
 	tapes []*hourTape
-	// soaTapes selects the structure-of-arrays tape layout (the default);
-	// false keeps the array-of-structs reference layout. Flipped only via
-	// SetSoA, which drops any tapes compiled in the other layout.
-	soaTapes bool
-
-	// firstUse[n] is the smallest node index whose step reads assign[n]:
-	// n itself, lowered to the smallest direct-edge predecessor (staging
-	// and skip edges never read the target's assignment). The entry node
-	// is -1 — its assignment is read before the step loop. Delta replay
-	// (delta.go) resumes a neighbor differing at node k from the anchor
-	// checkpoint at boundary firstUse[k]. fuBounds lists the distinct
-	// values ≥ 1 ascending — the only possible resume boundaries, and the
-	// points anchors checkpoint.
-	firstUse []int32
-	fuBounds []int32
 
 	// scratchPool, snapPool, and accPool recycle the per-Estimate replay
 	// scratch, the untaped path's sampling scratch, and series accumulators
-	// across the thousands of evaluations one solve performs; all hold
-	// state that is fully reset on reuse, so pooling cannot leak one plan's
-	// numbers into another's.
-	scratchPool sync.Pool
-	snapPool    sync.Pool
-	accPool     sync.Pool
+	// across the thousands of evaluations one solve performs; bldPool
+	// recycles the tape compiler's one-batch scratch across extensions of
+	// every hour. All hold state that is fully reset on reuse, so pooling
+	// cannot leak one plan's numbers into another's. The pools are
+	// allocated apart from the Snapshot: the runtime keeps every used
+	// sync.Pool reachable until two collections later, and a pool embedded
+	// in the struct would keep the whole snapshot, tapes included, alive
+	// that long after its solve.
+	scratchPool, snapPool, accPool, bldPool *sync.Pool
 
 	// bnd holds the snapshot-level coefficient minima the exact-pruning
 	// bound replay substitutes for region-dependent lookups (bounds.go).
@@ -191,13 +178,13 @@ func Compile(in Inputs, tx carbon.TransmissionModel, seed int64, regions []regio
 	for h, u := range s.hourUnix {
 		s.hourSeed[h] = simclock.DeriveSeed(seed, fmt.Sprintf("mc/%s/%d", s.name, u)) //caribou:allow hotsprintf runs once per hour at snapshot compile, never in the sampling loop
 	}
-	s.soaTapes = true
 	s.SetTapes(true)
 
 	n := s.nodes.Len()
-	s.scratchPool.New = func() any { return newReplayScratch(n) }
-	s.snapPool.New = func() any { return newSnapScratch(n) }
-	s.accPool.New = func() any { return new(seriesAcc) }
+	s.scratchPool = &sync.Pool{New: func() any { return newReplayScratch(n) }}
+	s.snapPool = &sync.Pool{New: func() any { return newSnapScratch(n) }}
+	s.accPool = &sync.Pool{New: func() any { return new(seriesAcc) }}
+	s.bldPool = &sync.Pool{New: func() any { return newTapeBuilder(n) }}
 	startIdx, _ := s.nodes.Index(d.Start())
 	s.start = startIdx
 	s.cpuUtil = make([]float64, n)
@@ -244,27 +231,6 @@ func Compile(in Inputs, tx carbon.TransmissionModel, seed int64, regions []regio
 		}
 	}
 	s.entryBytes = in.EntryBytes().SortedValues()
-
-	s.firstUse = make([]int32, n)
-	for i := range s.firstUse {
-		s.firstUse[i] = int32(i)
-	}
-	s.firstUse[s.start] = -1
-	for p := 0; p < n; p++ {
-		for _, e := range s.outEdges[p] {
-			if !e.toSync && int32(p) < s.firstUse[e.to] {
-				s.firstUse[e.to] = int32(p)
-			}
-		}
-	}
-	seen := make(map[int32]bool, n)
-	for _, f := range s.firstUse {
-		if f >= 1 && !seen[f] {
-			seen[f] = true
-			s.fuBounds = append(s.fuBounds, f)
-		}
-	}
-	sort.Slice(s.fuBounds, func(a, b int) bool { return s.fuBounds[a] < s.fuBounds[b] })
 
 	book := in.CostBook()
 	s.kvAccess = make([]float64, s.nR)
@@ -372,23 +338,6 @@ func (s *Snapshot) SetTapes(on bool) {
 		}
 	case !on:
 		s.tapes = nil
-	}
-}
-
-// SetSoA selects the tape layout: true (the default) replays
-// structure-of-arrays columns, false the array-of-structs reference
-// records. Results are bit-identical either way (pinned by the tape
-// parity tests); the toggle exists for benchmarks and ablations. Tapes
-// already compiled in the other layout are dropped and recompiled
-// lazily. Like SetTapes, not safe to call concurrently with Estimate.
-func (s *Snapshot) SetSoA(on bool) {
-	if s.soaTapes == on {
-		return
-	}
-	s.soaTapes = on
-	if s.tapes != nil {
-		s.tapes = nil
-		s.SetTapes(true)
 	}
 }
 

@@ -2,6 +2,7 @@ package montecarlo
 
 import (
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -255,5 +256,47 @@ func TestSnapshotValidation(t *testing.T) {
 	}
 	if !snap.PlanOf(assign).Equal(p) {
 		t.Errorf("round trip mangled plan: %v", snap.PlanOf(assign))
+	}
+}
+
+// TestSnapshotFreedByOneCollection pins that a snapshot nothing refers to
+// any more — tapes included — is freed by the next collection. The
+// runtime keeps every sync.Pool that has been used reachable until two
+// collections later, so a pool embedded in the Snapshot struct kept each
+// finished solve's tapes alive across the following solves and raised the
+// peak heap of back-to-back solves.
+func TestSnapshotFreedByOneCollection(t *testing.T) {
+	freed := make(chan struct{})
+	func() {
+		in := &heavyTailInputs{fakeInputs: richInputs(t)}
+		snap, err := New(in, carbon.BestCase(), 3).Compile(nil, []time.Time{t0}, t0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plans := batchPlanSet(in.d)
+		assigns := make([][]int, len(plans))
+		for i, p := range plans {
+			if assigns[i], err = snap.Assign(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Touch every pool: batch lanes, single-plan replay, the tape
+		// compiler and the untaped reference.
+		if _, err := snap.EstimateBatch(assigns, 0, nil); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := snap.Estimate(assigns[0], 0); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := snap.EstimateUntaped(assigns[0], 0); err != nil {
+			t.Fatal(err)
+		}
+		runtime.SetFinalizer(snap, func(*Snapshot) { close(freed) })
+	}()
+	runtime.GC()
+	select {
+	case <-freed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("snapshot still reachable one collection after its last use")
 	}
 }

@@ -28,11 +28,10 @@ import (
 // bytes, pre-summed sync staging totals, and the ordered sync targets of
 // every skip propagation. Replaying a plan against the tape performs no
 // RNG calls, no stream derivation, no conditional-probability branching,
-// and no recursive skip walks — only the region-dependent lookups
-// (duration quantile resolution, transfer/egress coefficients,
-// intensity-weighted carbon) and the exact arithmetic of the reference
-// path, in the exact same order, so replayed estimates are bit-identical
-// to untaped ones by construction (pinned by the tape parity tests).
+// and no recursive skip walks — only the region-dependent lookups and
+// the exact arithmetic of the reference path, in the exact same order,
+// so replayed estimates are bit-identical to untaped ones by
+// construction (pinned by the tape parity tests).
 //
 // Tapes are compiled lazily in BatchSize increments up to MaxSamples:
 // the first Estimate that needs samples [0,200) builds them, a later
@@ -40,8 +39,16 @@ import (
 // means one tape per hour serves every candidate plan the solver
 // evaluates — HBSS rounds, exhaustive enumeration, and all hourly
 // solves amortize the drawing work that the untaped path repeats per
-// plan. Memory is bounded by MaxSamples × (nodes + edges) records per
-// hour.
+// plan.
+//
+// Each extension compiles into its own immutable tapeBlock holding the
+// structure-of-arrays columns of exactly its BatchSize samples, with
+// block-local offsets. The compiler first emits one batch of records
+// into a pooled tapeBuilder, then allocates the block at its exact size
+// and fills it; nothing compiled earlier is ever copied, so the bytes an
+// extension allocates are the bytes the tape retains. Replay loops are
+// already batch-aligned, so sample i is block i/BatchSize, local index
+// i%BatchSize.
 
 // tapeStep flags.
 const (
@@ -56,54 +63,46 @@ const (
 	tapeEdgeDirect              // taken pub/sub edge
 )
 
-// tapeStep is one executed node of one recorded sample.
+// tapeStep is one executed node of one sample, as the compiler records it
+// into the builder's one-batch scratch before the block is laid out.
 type tapeStep struct {
-	node             int32
-	flags            uint8
-	u                float64 // pre-drawn exec-duration quantile
-	staged           float64 // sync steps: staged bytes, pre-summed in edge order
-	out              float64 // stepOutput steps: pre-drawn write-back bytes
-	edgeOff, edgeEnd int32   // [edgeOff,edgeEnd) into tapeData.edges
+	node    int32
+	flags   uint8
+	u       float64 // pre-drawn exec-duration quantile
+	staged  float64 // sync steps: staged bytes, pre-summed in edge order
+	out     float64 // stepOutput steps: pre-drawn write-back bytes
+	edgeOff int32   // first out-edge in the batch's edge records
 }
 
 // tapeEdge is one out-edge outcome of an executed node.
 type tapeEdge struct {
-	to               int32
-	kind             uint8
-	bytes            float64 // pre-drawn payload (0 for unobserved edges)
-	skipOff, skipEnd int32   // tapeEdgeSkip: [skipOff,skipEnd) into skipSyncs
+	to      int32
+	kind    uint8
+	bytes   float64 // pre-drawn payload (0 for unobserved edges)
+	skipEnd int32   // end of this edge's skip targets in the batch's skipSyncs
 }
 
-// tapeData is an immutable compiled prefix of one hour's sample stream.
-// Extensions append past every published header's length and publish a
-// new header, so a reader holding an old header only ever touches the
-// prefix that was complete when it loaded — no locking on the read side.
-//
-// Two layouts exist. The array-of-structs steps/edges slices are the
-// reference layout the compiler emits; with SoA replay enabled (the
-// default) the published header instead carries transposed dense columns
-// (soaCols) and leaves steps/edges nil. Both layouts replay bit-identically
-// (pinned by the tape parity tests); the column form exists because replay
-// is the solver's hot loop and streams far fewer bytes per step.
+// tapeData is an immutable compiled prefix of one hour's sample stream:
+// n samples in n/BatchSize blocks. Extensions append a block past every
+// published header's length and publish a new header, so a reader
+// holding an old header only ever touches blocks that were complete when
+// it loaded — no locking on the read side.
 type tapeData struct {
-	n         int       // samples compiled
-	entry     []float64 // per sample: entry payload incl. control bytes
-	stepOff   []int32   // len n+1: sample i occupies steps[stepOff[i]:stepOff[i+1]]
-	steps     []tapeStep
-	edges     []tapeEdge
-	skipSyncs []int32 // sync nodes advanced by skip propagations, in DFS order
-	soa       *soaCols
+	n      int
+	blocks []*tapeBlock
 }
 
-// soaCols is the structure-of-arrays layout of one compiled tape prefix:
-// one dense column per record field, plus per-(step, region) columns that
+// tapeBlock holds the columns of one BatchSize extension. Step, edge and
+// skip offsets are local to the block. The per-(step, region) columns
 // bake every plan-independent quantile and coefficient the replay loop
-// would otherwise recompute per candidate plan. Offsets are cumulative
-// (edges of step si span edgeOff[si:si+1], skip targets of edge ei span
-// skipOff[ei:ei+1]), which the compiler's contiguous emission order
-// guarantees. All float64 columns of one extension are carved from a
-// single arena block (see transposeSoA).
-type soaCols struct {
+// would otherwise recompute per candidate plan. Every float64 column is
+// carved from one arena, the int32 and uint8 columns from one arena
+// each.
+type tapeBlock struct {
+	// Per sample.
+	stepOff []int32   // len BatchSize+1: sample j runs steps [stepOff[j], stepOff[j+1])
+	entry   []float64 // entry payload incl. control bytes
+	entry9  []float64 // entry payload divided by 1e9
 	// Per step.
 	node    []int32
 	flags   []uint8
@@ -121,7 +120,7 @@ type soaCols struct {
 	// aux9 holds the sync step's staged total divided by 1e9 (gigabytes).
 	// The quotient is plan-independent, and float division is the single
 	// longest-latency operation the replay loop would otherwise perform
-	// per step, so it is baked once at transpose time — same operands,
+	// per step, so it is baked once at compile time — same operands,
 	// same operation, bit-identical result.
 	aux9 []float64
 	// out9 is the output step's write-back draw divided by 1e9. It is a
@@ -129,46 +128,38 @@ type soaCols struct {
 	// output distribution carries both flags and needs both quotients
 	// (e.g. Text2Speech's final censoring stage).
 	out9 []float64
-	// entry9 is the per-sample entry payload divided by 1e9.
-	entry9 []float64
 	// Per edge.
 	to      []int32
 	kind    []uint8
 	bytes   []float64
-	skipOff []int32 // len(to)+1, cumulative into tapeData.skipSyncs
+	skipOff []int32 // len(to)+1, cumulative into skipSyncs
 	// e9 is the edge's transmitted payload in gigabytes: bytes/1e9 for
 	// staging edges, (bytes+controlBytes)/1e9 for direct edges (the
 	// reference adds the control envelope before converting), 0 for skips.
 	e9 []float64
-	// Pruning-bound columns (bounds.go), present only when the snapshot's
-	// coefficient minima are valid: bndStep holds per-step minimum triples
-	// at si*3 {duration, energy contribution, exec cost}, and
-	// preLat/preCost/preCarb are per-sample metric-floor prefix sums (len
-	// nSamples+1). bndOK latches false — disabling pruning for the tape,
-	// never changing a result — when a per-sample floor goes negative.
+	// skipSyncs lists the sync nodes advanced by skip propagations, in
+	// DFS order.
+	skipSyncs []int32
+	// Pruning bounds (bounds.go), present only when the snapshot's
+	// coefficient minima are valid: bndStep holds per-step minimum
+	// triples at si*3 {duration, energy contribution, exec cost}, and
+	// preLat/preCost/preCarb are the running sums of the per-sample metric
+	// floors over every sample of the tape through this block, carried
+	// from the previous block as one float chain. bndOK latches false for
+	// this and every later block — disabling pruning for the tape, never
+	// changing a result — when a per-sample floor goes negative.
 	bndStep                  []float64
-	preLat, preCost, preCarb []float64
+	preLat, preCost, preCarb float64
 	bndOK                    bool
 }
 
 // hourTape owns one hour's lazily extended tape. The mutex serializes
 // extensions (the RNG stream must advance sequentially); readers load the
-// latest immutable prefix through the atomic pointer. ref is the growing
-// AoS master the compiler appends to; in SoA mode it stays private and
-// each extension is transposed into fresh column headers before
-// publication. The anchor fields cache one delta-replay anchor per hour
-// (delta.go), invalidated whenever the base plan changes.
+// latest immutable prefix through the atomic pointer.
 type hourTape struct {
 	mu   sync.Mutex
 	rng  *simclock.Rand // positioned after the last compiled sample
-	bld  *tapeBuilder
-	ref  *tapeData // AoS master; only published directly in AoS mode
 	data atomic.Pointer[tapeData]
-
-	// anchorMu serializes anchor recording (TryLock: contenders replay
-	// plain rather than queue); anchor publishes the result.
-	anchorMu sync.Mutex
-	anchor   atomic.Pointer[deltaAnchor]
 }
 
 // ensure returns a tape prefix holding at least n samples (capped at
@@ -183,146 +174,113 @@ func (t *hourTape) ensure(s *Snapshot, h, n int) *tapeData {
 	d := t.data.Load()
 	if d == nil {
 		t.rng = simclock.NewRand(s.hourSeed[h])
-		t.bld = newTapeBuilder(s.nodes.Len())
-		t.ref = &tapeData{stepOff: []int32{0}}
-		d = t.ref
+		// Full capacity up front: later headers append into the same
+		// backing array past every published length.
+		d = &tapeData{blocks: make([]*tapeBlock, 0, MaxSamples/BatchSize)}
 	}
-	if d.n >= n {
+	if d.n >= n || d.n >= MaxSamples {
 		return d
 	}
-	ref := t.ref
-	oldSteps, oldEdges := len(ref.steps), len(ref.edges)
-	for ref.n < n && ref.n < MaxSamples {
+	b := s.bldPool.Get().(*tapeBuilder)
+	defer s.bldPool.Put(b)
+	blocks := d.blocks
+	for len(blocks)*BatchSize < n && len(blocks)*BatchSize < MaxSamples {
+		b.startBatch()
 		for i := 0; i < BatchSize; i++ {
-			s.compileSample(t.bld, t.rng, ref)
+			s.compileSample(b, t.rng)
 		}
+		var prev *tapeBlock
+		if len(blocks) > 0 {
+			prev = blocks[len(blocks)-1]
+		}
+		blocks = append(blocks, s.layoutBlock(b, prev, h))
 		s.tel.tapeBatches.Inc()
 		s.tel.tapeSamples.Add(BatchSize)
 	}
-	nd := &tapeData{n: ref.n, entry: ref.entry, stepOff: ref.stepOff, skipSyncs: ref.skipSyncs}
-	if s.soaTapes {
-		nd.soa = s.transposeSoA(d.soa, ref, oldSteps, oldEdges, h)
-	} else {
-		nd.steps = ref.steps
-		nd.edges = ref.edges
-	}
+	nd := &tapeData{n: len(blocks) * BatchSize, blocks: blocks}
 	t.data.Store(nd)
 	return nd
 }
 
-// transposeSoA extends the published columns with the AoS records the
-// compiler just appended (steps[oldSteps:], edges[oldEdges:]). Columns are
-// immutable once published: each extension allocates exact-size arrays —
-// every float64 column carved from one arena block per extension — copies
-// the prior prefix, and fills the new span, so readers holding an old
-// header never observe growth.
-func (s *Snapshot) transposeSoA(prev *soaCols, ref *tapeData, oldSteps, oldEdges, h int) *soaCols {
+// carve splits the first n elements off an arena, capacity-capped so no
+// column can append into its neighbour.
+func carve[T any](arena []T, n int) ([]T, []T) {
+	return arena[:n:n], arena[n:]
+}
+
+// layoutBlock allocates one block at the exact size of the batch the
+// builder holds and fills its columns; prev is the previous block (nil
+// for the first), whose bound sums the new block carries forward.
+func (s *Snapshot) layoutBlock(b *tapeBuilder, prev *tapeBlock, h int) *tapeBlock {
 	nR := s.nR
-	nS, nE := len(ref.steps), len(ref.edges)
-	c := &soaCols{
-		node:    make([]int32, nS),
-		flags:   make([]uint8, nS),
-		edgeOff: make([]int32, nS+1),
-		to:      make([]int32, nE),
-		kind:    make([]uint8, nE),
-		skipOff: make([]int32, nE+1),
+	nS, nE, nK := len(b.steps), len(b.edges), len(b.skipSyncs)
+	k := &tapeBlock{}
+	ints := make([]int32, BatchSize+1+2*nS+1+2*nE+1+nK)
+	k.stepOff, ints = carve(ints, BatchSize+1)
+	k.node, ints = carve(ints, nS)
+	k.edgeOff, ints = carve(ints, nS+1)
+	k.to, ints = carve(ints, nE)
+	k.skipOff, k.skipSyncs = carve(ints, nE+1)
+	small := make([]uint8, nS+nE)
+	k.flags, k.kind = carve(small, nS)
+	bounded := s.bnd.ok && (prev == nil || prev.bndOK)
+	size := 2*BatchSize + 4*nS + 2*nE + nS*nR*3
+	if bounded {
+		size += 3 * nS
 	}
-	nSamp := ref.n
-	size := nS*4 + nE*2 + nSamp + nS*nR*3
-	if s.bnd.ok {
-		size += nS*3 + 3*(nSamp+1)
+	f := make([]float64, size)
+	k.entry, f = carve(f, BatchSize)
+	k.entry9, f = carve(f, BatchSize)
+	k.staged, f = carve(f, nS)
+	k.out, f = carve(f, nS)
+	k.aux9, f = carve(f, nS)
+	k.out9, f = carve(f, nS)
+	k.bytes, f = carve(f, nE)
+	k.e9, f = carve(f, nE)
+	k.drc, k.bndStep = carve(f, nS*nR*3)
+
+	copy(k.stepOff, b.stepOff)
+	copy(k.entry, b.entry)
+	for j, e := range b.entry {
+		k.entry9[j] = e / 1e9
 	}
-	arena := make([]float64, size)
-	c.staged, arena = arena[:nS:nS], arena[nS:]
-	c.out, arena = arena[:nS:nS], arena[nS:]
-	c.aux9, arena = arena[:nS:nS], arena[nS:]
-	c.out9, arena = arena[:nS:nS], arena[nS:]
-	c.bytes, arena = arena[:nE:nE], arena[nE:]
-	c.e9, arena = arena[:nE:nE], arena[nE:]
-	c.entry9, arena = arena[:nSamp:nSamp], arena[nSamp:]
-	drcLen := nS * nR * 3
-	c.drc, arena = arena[:drcLen:drcLen], arena[drcLen:]
-	if s.bnd.ok {
-		bs := nS * 3
-		c.bndStep, arena = arena[:bs:bs], arena[bs:]
-		c.preLat, arena = arena[:nSamp+1:nSamp+1], arena[nSamp+1:]
-		c.preCost, arena = arena[:nSamp+1:nSamp+1], arena[nSamp+1:]
-		c.preCarb = arena
-		c.bndOK = prev == nil || prev.bndOK
-	}
-	if prev != nil {
-		copy(c.node, prev.node)
-		copy(c.flags, prev.flags)
-		copy(c.staged, prev.staged)
-		copy(c.out, prev.out)
-		copy(c.aux9, prev.aux9)
-		copy(c.out9, prev.out9)
-		copy(c.edgeOff, prev.edgeOff)
-		copy(c.drc, prev.drc)
-		copy(c.to, prev.to)
-		copy(c.kind, prev.kind)
-		copy(c.bytes, prev.bytes)
-		copy(c.e9, prev.e9)
-		copy(c.skipOff, prev.skipOff)
-		copy(c.entry9, prev.entry9)
-		if prev.bndStep != nil {
-			copy(c.bndStep, prev.bndStep)
-			copy(c.preLat, prev.preLat)
-			copy(c.preCost, prev.preCost)
-			copy(c.preCarb, prev.preCarb)
-		}
-	}
-	oldSamp := 0
-	if prev != nil {
-		oldSamp = len(prev.entry9)
-	}
-	for i := oldSamp; i < nSamp; i++ {
-		c.entry9[i] = ref.entry[i] / 1e9
-	}
-	for i := oldSteps; i < nS; i++ {
-		st := &ref.steps[i]
-		c.node[i] = st.node
-		c.flags[i] = st.flags
-		c.staged[i] = st.staged
-		c.out[i] = st.out
+	for i := range b.steps {
+		st := &b.steps[i]
+		k.node[i] = st.node
+		k.flags[i] = st.flags
+		k.staged[i] = st.staged
+		k.out[i] = st.out
 		if st.flags&stepSync != 0 {
-			c.aux9[i] = st.staged / 1e9
+			k.aux9[i] = st.staged / 1e9
 		}
 		if st.flags&stepOutput != 0 {
-			c.out9[i] = st.out / 1e9
+			k.out9[i] = st.out / 1e9
 		}
-		c.edgeOff[i] = st.edgeOff
-		s.bakeStepCols(int(st.node), st.u, c.drc[i*nR*3:(i+1)*nR*3])
+		k.edgeOff[i] = st.edgeOff
+		s.bakeStepCols(int(st.node), st.u, k.drc[i*nR*3:(i+1)*nR*3])
 	}
-	c.edgeOff[nS] = int32(nE)
-	skips := int32(0)
-	if prev != nil {
-		skips = prev.skipOff[oldEdges]
-	}
-	for e := oldEdges; e < nE; e++ {
-		te := &ref.edges[e]
-		c.to[e] = te.to
-		c.kind[e] = te.kind
-		c.bytes[e] = te.bytes
+	k.edgeOff[nS] = int32(nE)
+	for e := range b.edges {
+		te := &b.edges[e]
+		k.to[e] = te.to
+		k.kind[e] = te.kind
+		k.bytes[e] = te.bytes
 		switch te.kind {
 		case tapeEdgeStage:
-			c.e9[e] = te.bytes / 1e9
+			k.e9[e] = te.bytes / 1e9
 		case tapeEdgeDirect:
 			// The reference adds the control envelope first, then
 			// converts: (bytes+controlBytes)/1e9 with that exact sum.
-			c.e9[e] = (te.bytes + controlBytes) / 1e9
+			k.e9[e] = (te.bytes + controlBytes) / 1e9
 		}
-		c.skipOff[e] = skips
-		if te.kind == tapeEdgeSkip {
-			skips = te.skipEnd
-		}
+		k.skipOff[e+1] = te.skipEnd
 	}
-	c.skipOff[nE] = skips
-	if c.bndOK {
-		s.bakeBoundSteps(c, h, oldSteps, nS)
-		s.bakeBoundSamples(ref, c, h, oldSamp, nSamp)
+	copy(k.skipSyncs, b.skipSyncs)
+	if bounded {
+		s.bakeBoundSteps(k, h)
+		s.bakeBoundSamples(k, prev, h)
 	}
-	return c
+	return k
 }
 
 // bakeStepCols resolves one step's region-dependent terms for every
@@ -354,14 +312,22 @@ func (s *Snapshot) bakeStepCols(n int, u float64, drc []float64) {
 	}
 }
 
-// tapeBuilder holds the plan-invariant scratch flags the compiler needs
-// to resolve one sample's control flow, reused across samples.
+// tapeBuilder is the compiler's reusable scratch: the plan-invariant
+// flags that resolve one sample's control flow, and the records of the
+// batch being compiled. Builders are pooled per snapshot and hold no
+// state between extensions.
 type tapeBuilder struct {
 	executed    []bool
 	skipped     []bool
 	syncReached []bool
 	staged      []float64
 	stack       []snapEdge // explicit DFS stack for skip propagation
+
+	stepOff   []int32 // len samples+1, into steps
+	entry     []float64
+	steps     []tapeStep
+	edges     []tapeEdge
+	skipSyncs []int32
 }
 
 func newTapeBuilder(n int) *tapeBuilder {
@@ -371,6 +337,15 @@ func newTapeBuilder(n int) *tapeBuilder {
 		syncReached: make([]bool, n),
 		staged:      make([]float64, n),
 	}
+}
+
+// startBatch empties the batch records, keeping their capacity.
+func (b *tapeBuilder) startBatch() {
+	b.stepOff = append(b.stepOff[:0], 0)
+	b.entry = b.entry[:0]
+	b.steps = b.steps[:0]
+	b.edges = b.edges[:0]
+	b.skipSyncs = b.skipSyncs[:0]
 }
 
 func (b *tapeBuilder) reset() {
@@ -383,10 +358,10 @@ func (b *tapeBuilder) reset() {
 }
 
 // compileSample resolves one sample's skeleton, consuming RNG draws in
-// exactly the order of the reference sampleOnce, and appends the records
-// to nd. Only plan-invariant state is tracked; everything region-dependent
-// is deferred to replay.
-func (s *Snapshot) compileSample(b *tapeBuilder, rng *simclock.Rand, nd *tapeData) {
+// exactly the order of the reference sampleOnce, and appends its records
+// to the builder's batch. Only plan-invariant state is tracked;
+// everything region-dependent is deferred to replay.
+func (s *Snapshot) compileSample(b *tapeBuilder, rng *simclock.Rand) {
 	b.reset()
 	entryBytes := stats.SampleSorted(s.entryBytes, rng.Float64()) + controlBytes
 	entry := s.start
@@ -411,7 +386,7 @@ func (s *Snapshot) compileSample(b *tapeBuilder, rng *simclock.Rand, nd *tapeDat
 
 		st := tapeStep{node: int32(n), flags: flags, staged: b.staged[n]}
 		st.u = rng.Float64()
-		st.edgeOff = int32(len(nd.edges))
+		st.edgeOff = int32(len(b.edges))
 		out := s.outEdges[n]
 		if len(out) == 0 {
 			if ob := s.output[n]; ob != nil {
@@ -424,9 +399,7 @@ func (s *Snapshot) compileSample(b *tapeBuilder, rng *simclock.Rand, nd *tapeDat
 				te := tapeEdge{to: int32(edge.to)}
 				if !taken {
 					te.kind = tapeEdgeSkip
-					te.skipOff = int32(len(nd.skipSyncs))
-					nd.skipSyncs = b.propagateSkip(s, edge, nd.skipSyncs)
-					te.skipEnd = int32(len(nd.skipSyncs))
+					b.skipSyncs = b.propagateSkip(s, edge, b.skipSyncs)
 				} else {
 					if edge.bytes != nil {
 						te.bytes = stats.SampleSorted(edge.bytes, rng.Float64())
@@ -440,16 +413,15 @@ func (s *Snapshot) compileSample(b *tapeBuilder, rng *simclock.Rand, nd *tapeDat
 						b.executed[edge.to] = true
 					}
 				}
-				nd.edges = append(nd.edges, te)
+				te.skipEnd = int32(len(b.skipSyncs))
+				b.edges = append(b.edges, te)
 			}
 		}
-		st.edgeEnd = int32(len(nd.edges))
-		nd.steps = append(nd.steps, st)
+		b.steps = append(b.steps, st)
 	}
 
-	nd.entry = append(nd.entry, entryBytes)
-	nd.stepOff = append(nd.stepOff, int32(len(nd.steps)))
-	nd.n++
+	b.entry = append(b.entry, entryBytes)
+	b.stepOff = append(b.stepOff, int32(len(b.steps)))
 }
 
 // propagateSkip walks the untaken edge's downstream closure iteratively
@@ -527,7 +499,6 @@ func (s *Snapshot) estimateTaped(assign []int, h int) (*Estimate, error) {
 	t := s.tapes[h]
 	sc := s.getScratch()
 	defer s.putScratch(sc)
-	inten := s.intensity[h]
 	acc := s.getAcc()
 	defer s.putAcc(acc)
 	var sc2 *replayScratch
@@ -537,10 +508,10 @@ func (s *Snapshot) estimateTaped(assign []int, h int) (*Estimate, error) {
 		}
 	}()
 	for acc.samples() < MaxSamples {
-		need := acc.samples() + BatchSize
-		td := t.ensure(s, h, need)
-		i := acc.samples()
-		if td.soa != nil && !s.anyExecErr {
+		n := acc.samples()
+		k := t.ensure(s, h, n+BatchSize).blocks[n/BatchSize]
+		j := 0
+		if !s.anyExecErr {
 			// Pairwise interleaved replay: two samples per iteration so
 			// their serial float chains overlap (see replaySoAPair). Only
 			// when no exec error can fire — error replays take the
@@ -548,8 +519,8 @@ func (s *Snapshot) estimateTaped(assign []int, h int) (*Estimate, error) {
 			if sc2 == nil {
 				sc2 = s.getScratch()
 			}
-			for ; i+1 < need; i += 2 {
-				a, b, err := s.replaySoAPair(td, i, h, assign, sc, sc2)
+			for ; j+1 < BatchSize; j += 2 {
+				a, b, err := s.replaySoAPair(k, j, h, assign, sc, sc2)
 				if err != nil {
 					return nil, err
 				}
@@ -557,14 +528,8 @@ func (s *Snapshot) estimateTaped(assign []int, h int) (*Estimate, error) {
 				acc.add(b)
 			}
 		}
-		for ; i < need; i++ {
-			var smp sample
-			var err error
-			if td.soa != nil {
-				smp, err = s.replaySoA(td, i, h, assign, sc, nil)
-			} else {
-				smp, err = s.replaySample(td, i, assign, inten, sc)
-			}
+		for ; j < BatchSize; j++ {
+			smp, err := s.replaySoA(k, j, h, assign, sc)
 			if err != nil {
 				return nil, err
 			}
@@ -580,13 +545,11 @@ func (s *Snapshot) estimateTaped(assign []int, h int) (*Estimate, error) {
 	return acc.summarize()
 }
 
-// replaySoA evaluates recorded sample i against the column layout. The
-// arithmetic and its order match replaySample — and hence sampleOnce —
-// exactly; the duration quantile, energy intermediate, and execution cost
-// are read from the baked columns instead of being recomputed (identical
-// values by construction, see bakeStepCols). A non-nil rec captures
-// per-step checkpoints for delta replay (delta.go).
-func (s *Snapshot) replaySoA(td *tapeData, i, h int, assign []int, sc *replayScratch, rec *deltaAnchor) (sample, error) {
+// replaySoA evaluates sample j of block k. The arithmetic and its order
+// match sampleOnce exactly; the duration quantile, energy intermediate,
+// and execution cost are read from the baked columns instead of being
+// recomputed (identical values by construction, see bakeStepCols).
+func (s *Snapshot) replaySoA(k *tapeBlock, j, h int, assign []int, sc *replayScratch) (sample, error) {
 	sc.reset()
 	var smp sample
 	home := s.home
@@ -595,13 +558,13 @@ func (s *Snapshot) replaySoA(td *tapeData, i, h int, assign []int, sc *replayScr
 
 	entry := s.start
 	entryRegion := assign[entry]
-	entryBytes := td.entry[i]
+	entryBytes := k.entry[j]
 	smp.cost += s.dynReadUSD
 	smp.cost += s.snsUSD[home]
 	if entryBytes > 0 {
 		// txRF*entry9 is the reference's route*factor*(bytes/1e9) grouping
-		// with the quotient baked at transpose time.
-		q := td.soa.entry9[i]
+		// with the quotient baked at compile time.
+		q := k.entry9[j]
 		smp.txCarbon += rf[home*nR+entryRegion] * q
 		smp.cost += q * s.egressPerGB[home*nR+entryRegion]
 	}
@@ -613,18 +576,16 @@ func (s *Snapshot) replaySoA(td *tapeData, i, h int, assign []int, sc *replayScr
 	// the access+overhead prefix, exactly as the reference's helper call.
 	sc.setStart(entry, s.kvAccess[home]+s.msgOverhead+(s.txBase[home*nR+entryRegion]+eb*s.txPerByte[home*nR+entryRegion]))
 
-	return s.runSoASteps(td, td.stepOff[i], td.stepOff[i+1], h, assign, sc, smp, rec)
+	return s.runSoASteps(k, k.stepOff[j], k.stepOff[j+1], h, assign, sc, smp)
 }
 
-// runSoASteps replays the step span [lo, hi) on top of smp and the
-// current scratch state. It is shared by full replay (span = whole
-// sample) and delta resume (span = the dirty suffix, state restored from
-// an anchor checkpoint). The body is deliberately closure-free — the
+// runSoASteps replays the step span [lo, hi) of block k on top of smp and
+// the current scratch state. It is shared by full replay (span = whole
+// sample) and the pair replayer's tails. The body is deliberately closure-free — the
 // transfer-latency and transmission-carbon helpers of the reference path
 // are inlined against hoisted table slices — so the per-step accumulators
 // stay in registers; every addition still happens in the reference order.
-func (s *Snapshot) runSoASteps(td *tapeData, lo, hi int32, h int, assign []int, sc *replayScratch, smp sample, rec *deltaAnchor) (sample, error) {
-	c := td.soa
+func (s *Snapshot) runSoASteps(k *tapeBlock, lo, hi int32, h int, assign []int, sc *replayScratch, smp sample) (sample, error) {
 	home := s.home
 	nR := s.nR
 	inten := s.intensity[h]
@@ -635,17 +596,12 @@ func (s *Snapshot) runSoASteps(td *tapeData, lo, hi int32, h int, assign []int, 
 	snsHome := s.snsUSD[home]
 	hasErr := s.anyExecErr
 	// Column headers hoisted into locals so the loop indexes registers
-	// instead of re-loading slice headers through the *soaCols pointer.
-	nodeC, flagsC, stagedC, outC, drcC, aux9C, out9C := c.node, c.flags, c.staged, c.out, c.drc, c.aux9, c.out9
-	edgeOffC, toC, kindC, bytesC, skipOffC, e9C := c.edgeOff, c.to, c.kind, c.bytes, c.skipOff, c.e9
+	// instead of re-loading slice headers through the *tapeBlock pointer.
+	nodeC, flagsC, stagedC, outC, drcC, aux9C, out9C := k.node, k.flags, k.staged, k.out, k.drc, k.aux9, k.out9
+	edgeOffC, toC, kindC, bytesC, skipOffC, e9C := k.edgeOff, k.to, k.kind, k.bytes, k.skipOff, k.e9
 
 	for si := lo; si < hi; si++ {
 		n := int(nodeC[si])
-		if rec != nil {
-			// Checkpoint the state in force before this step executes;
-			// reading the step's node first does not alter it.
-			rec.record(si, int32(n), sc, &smp)
-		}
 		r := assign[n]
 		flags := flagsC[si]
 		var startN float64
@@ -701,8 +657,8 @@ func (s *Snapshot) runSoASteps(td *tapeData, lo, hi int32, h int, assign []int, 
 			to := int(toC[ei])
 			switch kindC[ei] {
 			case tapeEdgeSkip:
-				for k := skipOffC[ei]; k < skipOffC[ei+1]; k++ {
-					sn := int(td.skipSyncs[k])
+				for ki := skipOffC[ei]; ki < skipOffC[ei+1]; ki++ {
+					sn := int(k.skipSyncs[ki])
 					if finish > sc.getReady(sn) {
 						sc.setReady(sn, finish)
 					}
@@ -749,7 +705,7 @@ func (s *Snapshot) runSoASteps(td *tapeData, lo, hi int32, h int, assign []int, 
 	return smp, nil
 }
 
-// replaySoAPair replays recorded samples i and i+1 together, executing one
+// replaySoAPair replays samples j and j+1 of block k together, executing one
 // step of each per loop iteration. Every addition, comparison, and their
 // order within each sample is exactly replaySoA's — the two samples are
 // data-independent, so interleaving their instruction streams changes no
@@ -759,7 +715,7 @@ func (s *Snapshot) runSoASteps(td *tapeData, lo, hi int32, h int, assign []int, 
 // the common step count drain through runSoASteps. Callers must guarantee
 // no exec errors exist (s.anyExecErr false): the pair body omits the
 // per-step error check, so error surfacing stays on the sequential path.
-func (s *Snapshot) replaySoAPair(td *tapeData, i, h int, assign []int, scA, scB *replayScratch) (sample, sample, error) {
+func (s *Snapshot) replaySoAPair(k *tapeBlock, j, h int, assign []int, scA, scB *replayScratch) (sample, sample, error) {
 	scA.reset()
 	scB.reset()
 	var smpA, smpB sample
@@ -772,23 +728,22 @@ func (s *Snapshot) replaySoAPair(td *tapeData, i, h int, assign []int, scA, scB 
 	snsHome := s.snsUSD[home]
 	kvAccess := s.kvAccess
 	dynRead := s.dynReadUSD
-	c := td.soa
 
 	entry := s.start
 	entryRegion := assign[entry]
 	he := home*nR + entryRegion
-	entryA, entryB := td.entry[i], td.entry[i+1]
+	entryA, entryB := k.entry[j], k.entry[j+1]
 	smpA.cost += dynRead
 	smpA.cost += snsHome
 	smpB.cost += dynRead
 	smpB.cost += snsHome
 	if entryA > 0 {
-		q := c.entry9[i]
+		q := k.entry9[j]
 		smpA.txCarbon += rf[he] * q
 		smpA.cost += q * egress[he]
 	}
 	if entryB > 0 {
-		q := c.entry9[i+1]
+		q := k.entry9[j+1]
 		smpB.txCarbon += rf[he] * q
 		smpB.cost += q * egress[he]
 	}
@@ -802,15 +757,14 @@ func (s *Snapshot) replaySoAPair(td *tapeData, i, h int, assign []int, scA, scB 
 	scA.setStart(entry, kvAccess[home]+msgOverhead+(txBase[he]+ebA*txPerByte[he]))
 	scB.setStart(entry, kvAccess[home]+msgOverhead+(txBase[he]+ebB*txPerByte[he]))
 
-	return s.runSoAStepsPair(td, td.stepOff[i], td.stepOff[i+1], td.stepOff[i+1], td.stepOff[i+2], h, assign, scA, scB, smpA, smpB)
+	return s.runSoAStepsPair(k, k.stepOff[j], k.stepOff[j+1], k.stepOff[j+1], k.stepOff[j+2], h, assign, scA, scB, smpA, smpB)
 }
 
-// runSoAStepsPair is runSoASteps for two independent spans at once: one
-// step of each per iteration, each span's arithmetic in exactly the
-// sequential order. Shared by pair replay (full spans) and pair resume
-// (dirty suffixes). Tails beyond the common step count drain through
+// runSoAStepsPair is runSoASteps for two independent spans of block k at
+// once: one step of each per iteration, each span's arithmetic in exactly
+// the sequential order. Tails beyond the common step count drain through
 // runSoASteps. Callers must guarantee no exec errors exist.
-func (s *Snapshot) runSoAStepsPair(td *tapeData, siA, hiA, siB, hiB int32, h int, assign []int, scA, scB *replayScratch, smpA, smpB sample) (sample, sample, error) {
+func (s *Snapshot) runSoAStepsPair(k *tapeBlock, siA, hiA, siB, hiB int32, h int, assign []int, scA, scB *replayScratch, smpA, smpB sample) (sample, sample, error) {
 	home := s.home
 	nR := s.nR
 	inten := s.intensity[h]
@@ -822,10 +776,9 @@ func (s *Snapshot) runSoAStepsPair(td *tapeData, siA, hiA, siB, hiB int32, h int
 	kvAccess := s.kvAccess
 	dynRead, dynWrite := s.dynReadUSD, s.dynWriteUSD
 	snsUSD := s.snsUSD
-	c := td.soa
-	nodeC, flagsC, stagedC, outC, drcC, aux9C, out9C := c.node, c.flags, c.staged, c.out, c.drc, c.aux9, c.out9
-	edgeOffC, toC, kindC, bytesC, skipOffC, e9C := c.edgeOff, c.to, c.kind, c.bytes, c.skipOff, c.e9
-	skipS := td.skipSyncs
+	nodeC, flagsC, stagedC, outC, drcC, aux9C, out9C := k.node, k.flags, k.staged, k.out, k.drc, k.aux9, k.out9
+	edgeOffC, toC, kindC, bytesC, skipOffC, e9C := k.edgeOff, k.to, k.kind, k.bytes, k.skipOff, k.e9
+	skipS := k.skipSyncs
 
 	for siA < hiA && siB < hiB {
 		{ // one step of sample A
@@ -876,8 +829,8 @@ func (s *Snapshot) runSoAStepsPair(td *tapeData, siA, hiA, siB, hiB int32, h int
 					to := int(toC[ei])
 					switch kindC[ei] {
 					case tapeEdgeSkip:
-						for k := skipOffC[ei]; k < skipOffC[ei+1]; k++ {
-							sn := int(skipS[k])
+						for ki := skipOffC[ei]; ki < skipOffC[ei+1]; ki++ {
+							sn := int(skipS[ki])
 							if finish > scA.getReady(sn) {
 								scA.setReady(sn, finish)
 							}
@@ -971,8 +924,8 @@ func (s *Snapshot) runSoAStepsPair(td *tapeData, siA, hiA, siB, hiB int32, h int
 					to := int(toC[ei])
 					switch kindC[ei] {
 					case tapeEdgeSkip:
-						for k := skipOffC[ei]; k < skipOffC[ei+1]; k++ {
-							sn := int(skipS[k])
+						for ki := skipOffC[ei]; ki < skipOffC[ei+1]; ki++ {
+							sn := int(skipS[ki])
 							if finish > scB.getReady(sn) {
 								scB.setReady(sn, finish)
 							}
@@ -1021,114 +974,14 @@ func (s *Snapshot) runSoAStepsPair(td *tapeData, siA, hiA, siB, hiB int32, h int
 	}
 	var err error
 	if siA < hiA {
-		if smpA, err = s.runSoASteps(td, siA, hiA, h, assign, scA, smpA, nil); err != nil {
+		if smpA, err = s.runSoASteps(k, siA, hiA, h, assign, scA, smpA); err != nil {
 			return smpA, smpB, err
 		}
 	}
 	if siB < hiB {
-		if smpB, err = s.runSoASteps(td, siB, hiB, h, assign, scB, smpB, nil); err != nil {
+		if smpB, err = s.runSoASteps(k, siB, hiB, h, assign, scB, smpB); err != nil {
 			return smpA, smpB, err
 		}
 	}
 	return smpA, smpB, nil
-}
-
-// replaySample evaluates recorded sample i under the dense assignment.
-// The arithmetic — every addition, comparison, and their order — matches
-// sampleOnce exactly; only the draws are read from the tape.
-func (s *Snapshot) replaySample(td *tapeData, i int, assign []int, inten []float64, sc *replayScratch) (sample, error) {
-	sc.reset()
-	var smp sample
-	home := s.home
-	nR := s.nR
-
-	txCarbon := func(from, to int, bytes float64) {
-		smp.txCarbon += s.tx.Carbon(inten[from], inten[to], from == to, bytes)
-		if bytes > 0 {
-			smp.cost += bytes / 1e9 * s.egressPerGB[from*nR+to]
-		}
-	}
-	transfer := func(from, to int, bytes float64) float64 {
-		if bytes < 0 {
-			bytes = 0
-		}
-		return s.txBase[from*nR+to] + bytes*s.txPerByte[from*nR+to]
-	}
-
-	entry := s.start
-	entryRegion := assign[entry]
-	entryBytes := td.entry[i]
-	smp.cost += s.dynReadUSD
-	smp.cost += s.snsUSD[home]
-	txCarbon(home, entryRegion, entryBytes)
-	sc.setStart(entry, s.kvAccess[home]+s.msgOverhead+transfer(home, entryRegion, entryBytes))
-
-	for si := td.stepOff[i]; si < td.stepOff[i+1]; si++ {
-		st := &td.steps[si]
-		n := int(st.node)
-		r := assign[n]
-		var startN float64
-		if st.flags&stepSync != 0 {
-			staged := st.staged
-			smp.cost += s.snsUSD[home]
-			txCarbon(home, r, controlBytes)
-			arrive := sc.getReady(n) + s.msgOverhead + transfer(home, r, controlBytes)
-			load := s.kvAccess[r] + transfer(home, r, staged)
-			smp.cost += s.dynReadUSD
-			txCarbon(home, r, staged)
-			startN = arrive + load
-		} else {
-			startN = sc.getStart(n)
-		}
-
-		if err := s.execErr[n*nR+r]; err != nil {
-			return smp, err
-		}
-		dur := stats.SampleSorted(s.exec[n*nR+r], st.u)
-		mem := s.memoryMB[n]
-		finish := startN + dur
-		if finish > smp.latency {
-			smp.latency = finish
-		}
-		smp.execCarbon += carbon.ExecutionCarbonFromFactors(inten[r], s.execMemKW[n], s.execProcKW[n], dur)
-		if mem >= 0 && dur >= 0 {
-			smp.cost += mem/1024*dur*s.gbSecUSD[r] + s.reqUSD[r]
-		}
-
-		if st.flags&stepOutput != 0 {
-			txCarbon(r, home, st.out)
-			continue
-		}
-		for ei := st.edgeOff; ei < st.edgeEnd; ei++ {
-			e := &td.edges[ei]
-			to := int(e.to)
-			switch e.kind {
-			case tapeEdgeSkip:
-				for k := e.skipOff; k < e.skipEnd; k++ {
-					sn := int(td.skipSyncs[k])
-					if finish > sc.getReady(sn) {
-						sc.setReady(sn, finish)
-					}
-				}
-				smp.cost += s.dynWriteUSD // skip annotation
-			case tapeEdgeStage:
-				smp.cost += s.dynWriteUSD
-				smp.cost += s.dynWriteUSD
-				txCarbon(r, home, e.bytes)
-				ready := finish + transfer(r, home, e.bytes) + s.kvAccess[r]
-				if ready > sc.getReady(to) {
-					sc.setReady(to, ready)
-				}
-			case tapeEdgeDirect:
-				smp.cost += s.snsUSD[r]
-				total := e.bytes + controlBytes
-				txCarbon(r, assign[to], total)
-				arrive := finish + s.msgOverhead + transfer(r, assign[to], total)
-				if arrive > sc.getStart(to) {
-					sc.setStart(to, arrive)
-				}
-			}
-		}
-	}
-	return smp, nil
 }

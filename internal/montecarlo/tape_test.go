@@ -2,6 +2,8 @@ package montecarlo
 
 import (
 	"fmt"
+	"runtime"
+	"runtime/debug"
 	"sync"
 	"testing"
 	"time"
@@ -9,6 +11,7 @@ import (
 	"caribou/internal/carbon"
 	"caribou/internal/dag"
 	"caribou/internal/region"
+	"caribou/internal/simclock"
 	"caribou/internal/stats"
 )
 
@@ -167,64 +170,136 @@ func TestTapeLazyExtension(t *testing.T) {
 	assertTapeParity(t, hsnap, dag.NewHomePlan(heavy.d, region.CACentral1), 0)
 }
 
+// TestTapeExtensionAllocatesOnlyBlock extends a heavy-tail tape on the
+// branch+sync workflow batch by batch from one batch to MaxSamples. Each
+// extension must allocate about one block — never a copy of the prefix,
+// so the bytes of extension k do not grow with k — and at every length
+// the replay of every compiled sample, single and paired, must equal the
+// untaped sampleOnce draw of the same stream position bit for bit.
+func TestTapeExtensionAllocatesOnlyBlock(t *testing.T) {
+	in := &heavyTailInputs{fakeInputs: richInputs(t)}
+	snap, err := New(in, carbon.BestCase(), 5).Compile(nil, []time.Time{t0}, t0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assign, err := snap.Assign(dag.Plan{"start": region.USEast1, "left": region.CACentral1,
+		"right": region.USWest2, "join": region.CACentral1, "tail": region.USEast1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The reference draws sample i from the hour's stream after i
+	// earlier samples, exactly as the tape compiler consumes it.
+	rng := simclock.NewRand(snap.hourSeed[0])
+	ssc := newSnapScratch(snap.NumNodes())
+	sc, sc2 := newReplayScratch(snap.NumNodes()), newReplayScratch(snap.NumNodes())
+	var ref []sample
+	// No collection may empty the builder pool between extensions: the
+	// measurement is of the extension itself, not of the pool.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var first uint64
+	var ms runtime.MemStats
+	for n := BatchSize; n <= MaxSamples; n += BatchSize {
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		td := snap.tapes[0].ensure(snap, 0, n)
+		runtime.ReadMemStats(&ms)
+		grew := ms.TotalAlloc - before
+		t.Logf("extension to %d samples: %d bytes", n, grew)
+		if n == BatchSize {
+			first = grew
+		} else if float64(grew) > 1.25*float64(first) {
+			t.Errorf("extension to %d samples allocated %d bytes, first extension %d: prefix copied?", n, grew, first)
+		}
+		if td.n != n || len(td.blocks) != n/BatchSize {
+			t.Fatalf("tape holds %d samples in %d blocks, want %d", td.n, len(td.blocks), n)
+		}
+		for len(ref) < n {
+			smp, err := snap.sampleOnce(assign, snap.intensity[0], rng, ssc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref = append(ref, smp)
+		}
+		for i := 0; i < n; i += 2 {
+			k, j := td.blocks[i/BatchSize], i%BatchSize
+			got, err := snap.replaySoA(k, j, 0, assign, sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, b, err := snap.replaySoAPair(k, j, 0, assign, sc, sc2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != ref[i] || a != ref[i] || b != ref[i+1] {
+				t.Fatalf("length %d sample %d: replay %+v, pair %+v %+v, reference %+v %+v",
+					n, i, got, a, b, ref[i], ref[i+1])
+			}
+		}
+	}
+}
+
 // TestTapeConcurrentLazyBuildDeterministic races many goroutines into
 // the first build and later extensions of a shared tape (run with -race
 // via `make verify`): every concurrent estimate must equal its serial
-// counterpart from a fresh snapshot.
+// counterpart from a fresh snapshot. The heavy-tail inputs never converge,
+// so readers replay published blocks while other goroutines append new
+// ones, up to MaxSamples.
 func TestTapeConcurrentLazyBuildDeterministic(t *testing.T) {
-	in := richInputs(t)
+	rich := richInputs(t)
 	plans := []dag.Plan{
-		dag.NewHomePlan(in.d, region.USEast1),
+		dag.NewHomePlan(rich.d, region.USEast1),
 		{"start": region.USEast1, "left": region.CACentral1, "right": region.USWest2,
 			"join": region.CACentral1, "tail": region.USEast1},
 		{"start": region.CACentral1, "left": region.USWest2, "right": region.CACentral1,
 			"join": region.USEast1, "tail": region.CACentral1},
-		dag.NewHomePlan(in.d, region.USWest2),
+		dag.NewHomePlan(rich.d, region.USWest2),
 	}
+	for _, in := range []Inputs{rich, &heavyTailInputs{fakeInputs: rich}} {
 
-	serialSnap, err := New(in, carbon.BestCase(), 9).Compile(nil, []time.Time{t0}, t0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := make([]*Estimate, len(plans))
-	for i, p := range plans {
-		if want[i], err = serialSnap.EstimatePlan(p, 0); err != nil {
+		serialSnap, err := New(in, carbon.BestCase(), 9).Compile(nil, []time.Time{t0}, t0)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-
-	snap, err := New(in, carbon.BestCase(), 9).Compile(nil, []time.Time{t0}, t0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const goroutines = 8
-	got := make([][]*Estimate, goroutines)
-	errs := make([]error, goroutines)
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			got[g] = make([]*Estimate, len(plans))
-			for i, p := range plans {
-				e, err := snap.EstimatePlan(p, 0)
-				if err != nil {
-					errs[g] = err
-					return
-				}
-				got[g][i] = e
+		want := make([]*Estimate, len(plans))
+		for i, p := range plans {
+			if want[i], err = serialSnap.EstimatePlan(p, 0); err != nil {
+				t.Fatal(err)
 			}
-		}(g)
-	}
-	wg.Wait()
-	for g := 0; g < goroutines; g++ {
-		if errs[g] != nil {
-			t.Fatal(errs[g])
 		}
-		for i := range plans {
-			if *got[g][i] != *want[i] {
-				t.Errorf("goroutine %d plan %d diverged from serial: %+v vs %+v",
-					g, i, got[g][i], want[i])
+
+		snap, err := New(in, carbon.BestCase(), 9).Compile(nil, []time.Time{t0}, t0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const goroutines = 8
+		got := make([][]*Estimate, goroutines)
+		errs := make([]error, goroutines)
+		var wg sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				got[g] = make([]*Estimate, len(plans))
+				for i, p := range plans {
+					e, err := snap.EstimatePlan(p, 0)
+					if err != nil {
+						errs[g] = err
+						return
+					}
+					got[g][i] = e
+				}
+			}(g)
+		}
+		wg.Wait()
+		for g := 0; g < goroutines; g++ {
+			if errs[g] != nil {
+				t.Fatal(errs[g])
+			}
+			for i := range plans {
+				if *got[g][i] != *want[i] {
+					t.Errorf("goroutine %d plan %d diverged from serial: %+v vs %+v",
+						g, i, got[g][i], want[i])
+				}
 			}
 		}
 	}

@@ -68,11 +68,10 @@ func TestSolveHourlyDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	assertIdenticalSolves(t, onePlans, eightPlans, oneRes, eightRes)
 }
 
-// TestSolveDeterministicAcrossEvalModes is the PR-wide bit-identity grid:
-// worker counts 1 and 8 crossed with every evaluation mode — batched SoA
-// sweeps with exact pruning (the default), per-plan evaluation (nobatch),
-// delta replay off (nodelta), the array-of-structs tape layout (nosoa),
-// and the untaped reference estimator — must all produce exactly the same
+// TestSolveDeterministicAcrossEvalModes is the bit-identity grid: worker
+// counts 1 and 8 crossed with every evaluation mode — batched tape sweeps
+// with exact pruning (the default), per-plan tape replay (nobatch), and
+// the untaped reference estimator — must all produce exactly the same
 // 24 hourly plans and bit-identical estimates. Each mode is defined as a
 // pure reorganization of the reference arithmetic (batching shares column
 // loads, pruning only abandons candidates a bound proves rejected), and
@@ -85,8 +84,6 @@ func TestSolveDeterministicAcrossEvalModes(t *testing.T) {
 	}{
 		{"batch", func(*Config) {}},
 		{"nobatch", func(c *Config) { c.NoBatchEval = true }},
-		{"nodelta", func(c *Config) { c.NoDeltaEval = true }},
-		{"nosoa", func(c *Config) { c.NoSoATape = true }},
 		{"untaped", func(c *Config) { c.UntapedEstimates = true }},
 	}
 	solve := func(workers int, apply func(*Config)) (dag.HourlyPlans, []Result) {

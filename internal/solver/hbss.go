@@ -128,13 +128,9 @@ func (c *search) solveHBSS(h int, home denseResult) (denseResult, error) {
 		iter = end
 
 		// Previously seen plans are already memoized, so evaluating the
-		// whole round costs only its fresh plans. Neighbor proposals all
-		// derive from the round-start incumbent, so its plan anchors the
-		// delta evaluations (single-node diffs resume from the anchor's
-		// checkpoints; wider perturbations fall back to full replay
-		// inside EstimateDelta).
+		// whole round costs only its fresh plans.
 		s.tel.hbssBatches.Inc()
-		ests, err := c.evalAllPruned(current.assign, current.est, assigns, h, thrs)
+		ests, err := c.evalAllPruned(assigns, h, thrs)
 		if err != nil {
 			return denseResult{}, err
 		}

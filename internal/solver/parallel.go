@@ -16,10 +16,10 @@ import (
 const exhaustiveCutoff = 256
 
 // evalChunk is how many deduplicated evaluation jobs one batched
-// EstimateBatch/EstimateBatchDelta call carries. An HBSS round's fresh
-// proposals (≤ hbssBatch) always fit one chunk; larger exhaustive job
-// lists split into chunk-grained goroutines so the worker bound still
-// applies. Chunk boundaries depend only on the job order, never on
+// EstimateBatch call carries. An HBSS round's fresh proposals
+// (≤ hbssBatch) always fit one chunk; larger exhaustive job lists split
+// into chunk-grained goroutines so the worker bound still applies.
+// Chunk boundaries depend only on the job order, never on
 // scheduling, so the pruning decisions inside a chunk are deterministic.
 const evalChunk = 16
 
@@ -39,15 +39,10 @@ type search struct {
 	elig  [][]int // per dense node index: eligible region indices
 	space int64
 
-	// delta routes HBSS neighbor evaluations through
-	// montecarlo.EstimateDelta anchored at the round's incumbent plan;
-	// disabled by Config.NoDeltaEval and implied off by NoSoATape and
-	// UntapedEstimates (delta replay resumes SoA tape checkpoints).
-	delta bool
 	// batch routes grouped evaluations through the shared-sweep batch
 	// replayers with bound-based pruning (montecarlo.EstimateBatch);
-	// disabled by Config.NoBatchEval and implied off by NoSoATape and
-	// UntapedEstimates (the batch sweep walks SoA columns).
+	// disabled by Config.NoBatchEval and implied off by UntapedEstimates
+	// (the batch sweep walks tape columns).
 	batch bool
 
 	mu    sync.Mutex
@@ -98,7 +93,6 @@ func (s *Solver) newSearch(hours []time.Time, now time.Time) (*search, error) {
 	// shared — read-only after each extension — by every estimate this
 	// search performs: HBSS rounds, exhaustive enumeration, the coarse
 	// baseline, and all hourly solves.
-	snap.SetSoA(!s.nosoa)
 	snap.SetTapes(!s.untaped)
 	elig := make([][]int, len(s.order))
 	for i, n := range s.order {
@@ -115,8 +109,7 @@ func (s *Solver) newSearch(hours []time.Time, now time.Time) (*search, error) {
 		snap:  snap,
 		elig:  elig,
 		space: s.searchSpace(),
-		delta: !s.nodelta && !s.nosoa && !s.untaped,
-		batch: !s.nobatch && !s.nosoa && !s.untaped,
+		batch: !s.nobatch && !s.untaped,
 		cache: make(map[memoKey]*montecarlo.Estimate),
 		sem:   make(chan struct{}, s.workers),
 	}, nil
@@ -137,17 +130,7 @@ func (c *search) estimate(assign []int, h int) (*montecarlo.Estimate, error) {
 // semaphore — then memoized. Errors surface in first-assignment order so
 // failure behaviour is as deterministic as success.
 func (c *search) evalAll(assigns [][]int, h int) ([]*montecarlo.Estimate, error) {
-	return c.evalAllFrom(nil, nil, assigns, h)
-}
-
-// evalAllFrom is evalAll with an optional evaluation anchor: when delta
-// replay is enabled and a base plan (with its estimate) is supplied,
-// cache misses are computed via EstimateDelta against it instead of a
-// full Estimate. Delta results are bit-identical to full replay (pinned
-// by the montecarlo delta parity tests), so memo entries stay
-// interchangeable regardless of which path produced them.
-func (c *search) evalAllFrom(baseAssign []int, baseEst *montecarlo.Estimate, assigns [][]int, h int) ([]*montecarlo.Estimate, error) {
-	return c.evalAllPruned(baseAssign, baseEst, assigns, h, nil)
+	return c.evalAllPruned(assigns, h, nil)
 }
 
 // batchMetric maps the solver priority onto the batch sweep's pruning
@@ -163,7 +146,7 @@ func batchMetric(p Priority) montecarlo.BatchMetric {
 	}
 }
 
-// evalAllPruned is evalAllFrom with per-assignment abandonment
+// evalAllPruned is evalAll with per-assignment abandonment
 // thresholds (nil thr, or +Inf entries, disable pruning). With batch
 // evaluation enabled, deduplicated cache misses are evaluated in
 // evalChunk-sized groups through one shared tape sweep each; a returned
@@ -175,7 +158,7 @@ func batchMetric(p Priority) montecarlo.BatchMetric {
 // occurrence whose estimate the HBSS acceptance loop can reach (later
 // duplicates fail its seen check), so the sharing cannot leak a prune
 // decision across different thresholds.
-func (c *search) evalAllPruned(baseAssign []int, baseEst *montecarlo.Estimate, assigns [][]int, h int, thr []float64) ([]*montecarlo.Estimate, error) {
+func (c *search) evalAllPruned(assigns [][]int, h int, thr []float64) ([]*montecarlo.Estimate, error) {
 	out := make([]*montecarlo.Estimate, len(assigns))
 	keys := make([]string, len(assigns))
 	type job struct {
@@ -222,13 +205,7 @@ func (c *search) evalAllPruned(baseAssign []int, baseEst *montecarlo.Estimate, a
 				ts[j-lo] = jobs[j].thr
 			}
 			prune := &montecarlo.BatchPrune{Metric: batchMetric(c.s.obj.Priority), Threshold: ts}
-			var es []*montecarlo.Estimate
-			var err error
-			if c.delta && baseAssign != nil {
-				es, err = c.snap.EstimateBatchDelta(baseEst, baseAssign, as, h, prune)
-			} else {
-				es, err = c.snap.EstimateBatch(as, h, prune)
-			}
+			es, err := c.snap.EstimateBatch(as, h, prune)
 			for j := lo; j < hi; j++ {
 				if err != nil {
 					errs[j] = err
@@ -264,15 +241,9 @@ func (c *search) evalAllPruned(baseAssign []int, baseEst *montecarlo.Estimate, a
 			wg.Wait()
 		}
 	} else {
-		eval := func(a []int) (*montecarlo.Estimate, error) {
-			if c.delta && baseAssign != nil {
-				return c.snap.EstimateDelta(baseEst, baseAssign, a, h)
-			}
-			return c.snap.Estimate(a, h)
-		}
 		if c.s.workers <= 1 || len(jobs) == 1 {
 			for j := range jobs {
-				ests[j], errs[j] = eval(jobs[j].assign)
+				ests[j], errs[j] = c.snap.Estimate(jobs[j].assign, h)
 			}
 		} else {
 			var wg sync.WaitGroup
@@ -281,7 +252,7 @@ func (c *search) evalAllPruned(baseAssign []int, baseEst *montecarlo.Estimate, a
 				go func(j int) {
 					defer wg.Done()
 					c.sem <- struct{}{}
-					ests[j], errs[j] = eval(jobs[j].assign)
+					ests[j], errs[j] = c.snap.Estimate(jobs[j].assign, h)
 					<-c.sem
 				}(j)
 			}
@@ -399,7 +370,7 @@ func (c *search) solveExhaustive(h int, home denseResult) (denseResult, error) {
 	for i := range thr {
 		thr[i] = cut
 	}
-	ests, err := c.evalAllPruned(nil, nil, all, h, thr)
+	ests, err := c.evalAllPruned(all, h, thr)
 	if err != nil {
 		return denseResult{}, err
 	}

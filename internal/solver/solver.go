@@ -101,16 +101,6 @@ type Config struct {
 	// Results are bit-identical either way (asserted by the tape parity
 	// tests); the switch exists for benchmarks and ablations.
 	UntapedEstimates bool
-	// NoDeltaEval routes HBSS neighbor evaluations through full tape
-	// replay instead of delta replay anchored at the incumbent plan.
-	// Results are bit-identical either way (asserted by the solver mode
-	// grid tests); the switch exists for benchmarks and ablations.
-	NoDeltaEval bool
-	// NoSoATape keeps sample tapes in the array-of-structs reference
-	// layout instead of the structure-of-arrays columns. Bit-identical
-	// either way; delta replay requires the column layout, so this also
-	// implies full replay for neighbor evaluations.
-	NoSoATape bool
 	// NoBatchEval evaluates candidate plans one at a time instead of
 	// through the batched multi-plan sweep with bound-based pruning
 	// (montecarlo.EstimateBatch). Results are bit-identical either way —
@@ -118,21 +108,18 @@ type Config struct {
 	// every pruned candidate is one the acceptance rule provably rejects
 	// (re-evaluated in full when the proof's premise lapses) — asserted by
 	// the solver mode grid and pruning property tests. Batch evaluation
-	// requires SoA tapes, so NoSoATape and UntapedEstimates imply it off.
+	// sweeps tape columns, so UntapedEstimates implies it off.
 	NoBatchEval bool
 }
 
-// EvalModes bundles the evaluation-path escape hatches
-// (UntapedEstimates, NoDeltaEval, NoSoATape, NoBatchEval) so
-// process-level tooling — caribou-eval's -eval-mode flag — can route
-// every solve in a run through a reference path without threading new
-// fields through each experiment constructor. All modes are
-// bit-identical by construction; see DESIGN.md "SoA tape layout & delta
-// replay" and "Batched replay & exact pruning".
+// EvalModes bundles the evaluation-path escape hatches (UntapedEstimates,
+// NoBatchEval) so process-level tooling — caribou-eval's -eval-mode flag
+// — can route every solve in a run through a reference path without
+// threading new fields through each experiment constructor. All modes
+// are bit-identical by construction; see DESIGN.md "Tape blocks" and
+// "Batched replay & exact pruning".
 type EvalModes struct {
 	UntapedEstimates bool
-	NoDeltaEval      bool
-	NoSoATape        bool
 	NoBatchEval      bool
 }
 
@@ -161,8 +148,6 @@ type Solver struct {
 	maxIter  int
 	workers  int
 	untaped  bool
-	nodelta  bool
-	nosoa    bool
 	nobatch  bool
 
 	tel solverTelemetry
@@ -240,8 +225,6 @@ func New(cfg Config) (*Solver, error) {
 		maxIter:  cfg.MaxIterations,
 		workers:  workers,
 		untaped:  cfg.UntapedEstimates || defaultEvalModes.UntapedEstimates,
-		nodelta:  cfg.NoDeltaEval || defaultEvalModes.NoDeltaEval,
-		nosoa:    cfg.NoSoATape || defaultEvalModes.NoSoATape,
 		nobatch:  cfg.NoBatchEval || defaultEvalModes.NoBatchEval,
 		tel:      newSolverTelemetry(),
 	}
